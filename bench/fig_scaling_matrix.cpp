@@ -1,16 +1,12 @@
 // Scaling matrix for the process-wide hot-spot work (DESIGN.md §11): one
-// closed-loop write-heavy run per M ∈ {2,4,8,16,32,64} under the deferred
-// commit clock, plus eager-clock A/B rows at the low thread counts, all on
-// invisible reads + snapshot extension so the clock protocol is actually
-// exercised. Each row reports throughput and the shared-line contention
-// counters (clock_bumps, deferred_stamps, snapshot_interference,
-// reader_stripe_retries, ebr_shard_syncs).
+// closed-loop write-heavy run per M ∈ {2,4,8,16,32,64}, on invisible reads
+// + snapshot extension so the commit clock (one bump per write-commit) is
+// actually exercised. Each row reports throughput and the shared-line
+// contention counters (clock_bumps, reader_stripe_retries, ebr_shard_syncs).
 //
 // --json=BENCH_scaling.json writes a machine-readable report gated in CI by
-// tools/check_bench.py --mode scaling: per-row validation + attempt
-// conservation always; the deferred-vs-eager ratio clauses (bumps ≤
-// stamps/5 at M=8, deferred throughput ≥ 0.9× eager at M ∈ {2,4}) only on
-// hosts with enough CPUs to make the contention real.
+// tools/check_bench.py --mode scaling: per-row validation and attempt
+// conservation.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -28,14 +24,11 @@ namespace {
 struct Row {
   long threads = 0;
   std::string cm;
-  std::string clock;  // "deferred" | "eager"
   double throughput_per_s = 0.0;
   std::uint64_t attempts = 0;
   std::uint64_t commits = 0;
   std::uint64_t aborts = 0;
   std::uint64_t clock_bumps = 0;
-  std::uint64_t deferred_stamps = 0;
-  std::uint64_t snapshot_interference = 0;
   std::uint64_t reader_stripe_retries = 0;
   std::uint64_t ebr_shard_syncs = 0;
   bool valid = true;
@@ -49,9 +42,8 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
     std::fprintf(stderr, "fig_scaling_matrix: cannot write %s\n", path.c_str());
     return;
   }
-  // host_cpus lets the CI gate decide whether the contention-ratio clauses
-  // are meaningful: an oversubscribed host serializes the "concurrent"
-  // writers, which deflates deferred_stamps batching artificially.
+  // host_cpus records whether the sweep oversubscribed the host, which
+  // serializes the "concurrent" writers.
   out << "{\n  \"context\": {\"benchmark\": \"" << benchmark
       << "\", \"key_range\": " << key_range << ", \"update_percent\": " << update_percent
       << ", \"ms\": " << ms
@@ -59,12 +51,10 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
       << "  \"scaling\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
-    out << "    {\"threads\": " << r.threads << ", \"cm\": \"" << r.cm << "\", \"clock\": \""
-        << r.clock << "\", \"throughput_per_s\": " << r.throughput_per_s
+    out << "    {\"threads\": " << r.threads << ", \"cm\": \"" << r.cm
+        << "\", \"throughput_per_s\": " << r.throughput_per_s
         << ", \"attempts\": " << r.attempts << ", \"commits\": " << r.commits
         << ", \"aborts\": " << r.aborts << ", \"clock_bumps\": " << r.clock_bumps
-        << ", \"deferred_stamps\": " << r.deferred_stamps
-        << ", \"snapshot_interference\": " << r.snapshot_interference
         << ", \"reader_stripe_retries\": " << r.reader_stripe_retries
         << ", \"ebr_shard_syncs\": " << r.ebr_shard_syncs
         << ", \"valid\": " << (r.valid ? "true" : "false") << "}"
@@ -79,10 +69,7 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
 int main(int argc, char** argv) {
   using namespace wstm;
   Cli cli;
-  cli.add_flag("threads", "M values for the deferred-clock sweep (comma list)",
-               std::string("2,4,8,16,32,64"));
-  cli.add_flag("ab-threads", "M values that additionally run the eager-clock A/B",
-               std::string("2,4,8"));
+  cli.add_flag("threads", "M values for the sweep (comma list)", std::string("2,4,8,16,32,64"));
   cli.add_flag("cm", "contention manager", std::string("Polka"));
   cli.add_flag("benchmark", "workload (BM_IntsetWriteHeavy-class: write-heavy intset)",
                std::string("hashtable"));
@@ -101,20 +88,17 @@ int main(int argc, char** argv) {
   const long update_percent = cli.get_int("update-percent");
   const long ms = cli.get_int("ms");
   const std::vector<std::int64_t> sweep = cli.get_int_list("threads");
-  const std::vector<std::int64_t> ab = cli.get_int_list("ab-threads");
 
   std::cout << "== Scaling matrix: " << benchmark << " range " << key_range << ", "
             << update_percent << "% updates, " << cm_name
             << ", invisible reads + snapshot extension ==\n\n";
 
-  Table table({"M", "clock", "commits/s", "aborts/commit", "clock_bumps", "deferred_stamps",
-               "stripe_retries", "ebr_syncs"});
+  Table table({"M", "commits/s", "aborts/commit", "clock_bumps", "stripe_retries", "ebr_syncs"});
   std::vector<Row> rows;
   bool all_valid = true;
 
-  auto run_cell = [&](std::int64_t m, bool deferred) {
-    std::fprintf(stderr, "[M=%lld] %s clock ...\n", static_cast<long long>(m),
-                 deferred ? "deferred" : "eager");
+  for (const std::int64_t m : sweep) {
+    std::fprintf(stderr, "[M=%lld] ...\n", static_cast<long long>(m));
     auto workload = harness::make_workload(
         benchmark, static_cast<std::uint32_t>(update_percent), key_range, /*zipf_alpha=*/0.0);
     harness::RunConfig run;
@@ -123,42 +107,30 @@ int main(int argc, char** argv) {
     run.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
     run.visible_reads = false;
     run.snapshot_ext = true;
-    run.deferred_clock = deferred;
     const harness::RunResult r = harness::run_workload(cm_name, cm::Params{}, *workload, run);
 
     Row row;
     row.threads = static_cast<long>(m);
     row.cm = cm_name;
-    row.clock = deferred ? "deferred" : "eager";
     row.throughput_per_s = r.summary.throughput_per_s;
     row.commits = r.totals.commits;
     row.aborts = r.totals.aborts;
     row.attempts = r.totals.commits + r.totals.aborts;
     row.clock_bumps = r.totals.clock_bumps;
-    row.deferred_stamps = r.totals.deferred_stamps;
-    row.snapshot_interference = r.totals.snapshot_interference;
     row.reader_stripe_retries = r.totals.reader_stripe_retries;
     row.ebr_shard_syncs = r.totals.ebr_shard_syncs;
     row.valid = r.valid;
     if (!r.valid) {
       all_valid = false;
-      std::fprintf(stderr, "VALIDATION FAILED [M=%lld %s]: %s\n", static_cast<long long>(m),
-                   row.clock.c_str(), r.why.c_str());
+      std::fprintf(stderr, "VALIDATION FAILED [M=%lld]: %s\n", static_cast<long long>(m),
+                   r.why.c_str());
     }
     rows.push_back(row);
 
-    table.add_row({std::to_string(m), row.clock, Table::num(row.throughput_per_s, 0),
+    table.add_row({std::to_string(m), Table::num(row.throughput_per_s, 0),
                    Table::num(r.summary.aborts_per_commit, 3), std::to_string(row.clock_bumps),
-                   std::to_string(row.deferred_stamps),
                    std::to_string(row.reader_stripe_retries),
                    std::to_string(row.ebr_shard_syncs)});
-  };
-
-  for (const std::int64_t m : sweep) {
-    run_cell(m, /*deferred=*/true);
-    for (const std::int64_t a : ab) {
-      if (a == m) run_cell(m, /*deferred=*/false);
-    }
   }
 
   std::cout << (cli.get_bool("csv") ? table.to_csv() : table.to_text()) << "\n";

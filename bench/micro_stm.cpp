@@ -214,13 +214,12 @@ void BM_Xoshiro(benchmark::State& state) {
 BENCHMARK(BM_Xoshiro);
 
 // ------------------------------------------------- allocation pressure --
-// Arg(1) = pooled (RuntimeConfig::pooling on), Arg(0) = every TxDesc /
-// Locator / clone through the global allocator. The counter reports
-// global-allocator calls per attempt: pooled steady state must be ~0.
+// Every TxDesc / Locator / clone block comes from the thread's pool. The
+// counter reports global-allocator calls per attempt: the steady state
+// must be ~0.
 void BM_AllocPressureWriteTx(benchmark::State& state) {
   stm::RuntimeConfig cfg;
   cfg.seed = g_seed;
-  cfg.pooling = state.range(0) != 0;
   cm::Params params;
   params.threads = 1;
   stm::Runtime rt(cm::make_manager("Polka", params), cfg);
@@ -247,9 +246,8 @@ void BM_AllocPressureWriteTx(benchmark::State& state) {
   state.counters["allocs_per_attempt"] = attempts > 0 ? allocs / attempts : 0.0;
   state.counters["attempts"] =
       benchmark::Counter(attempts, benchmark::Counter::kIsRate);
-  state.SetLabel(cfg.pooling ? "pooled" : "malloc");
 }
-BENCHMARK(BM_AllocPressureWriteTx)->Arg(1)->Arg(0);
+BENCHMARK(BM_AllocPressureWriteTx);
 
 // ------------------------------------------------- read-set scaling -----
 // Invisible-read validation cost as the read-set size R grows. Each
@@ -309,9 +307,9 @@ BENCHMARK(BM_ReadSetScaling)
     ->Args({64, 0})
     ->Args({256, 0});
 
-// Write-heavy int-set contention at 8 threads, pooled vs. malloc'd. All
-// bench threads share one Runtime + list; the fixture is refcounted because
-// google-benchmark calls the function once per thread.
+// Write-heavy int-set contention at 8 threads. All bench threads share one
+// Runtime + list; the fixture is refcounted because google-benchmark calls
+// the function once per thread.
 struct SharedStm {
   std::unique_ptr<stm::Runtime> rt;
   std::unique_ptr<structs::TxIntSet> set;
@@ -321,22 +319,12 @@ std::mutex g_shared_mutex;
 SharedStm* g_shared = nullptr;
 int g_shared_refs = 0;
 
-// clock_mode: 0 = visible reads (the paper's default; clock untouched),
-// 1 = invisible reads + snapshot extension + deferred clock (GV5-style),
-// 2 = invisible reads + snapshot extension + eager clock (one fetch_add
-// per write-commit) — the A/B for the shared-line reduction claim.
-SharedStm& acquire_shared(bool pooling, int clock_mode, std::uint32_t threads) {
+SharedStm& acquire_shared(std::uint32_t threads) {
   std::lock_guard<std::mutex> lock(g_shared_mutex);
   if (g_shared_refs++ == 0) {
     auto* s = new SharedStm;
     stm::RuntimeConfig cfg;
     cfg.seed = g_seed;
-    cfg.pooling = pooling;
-    if (clock_mode != 0) {
-      cfg.visible_reads = false;
-      cfg.snapshot_ext = true;
-      cfg.deferred_clock = clock_mode == 1;
-    }
     cfg.preempt_yield_permille = hardware_cpus() < threads ? 25 : 0;
     cm::Params params;
     params.threads = threads;
@@ -361,10 +349,7 @@ void release_shared() {
 }
 
 void BM_IntsetWriteHeavy(benchmark::State& state) {
-  const bool pooling = state.range(0) != 0;
-  const int clock_mode = static_cast<int>(state.range(1));
-  SharedStm& shared =
-      acquire_shared(pooling, clock_mode, static_cast<std::uint32_t>(state.threads()));
+  SharedStm& shared = acquire_shared(static_cast<std::uint32_t>(state.threads()));
   stm::ThreadCtx& tc = shared.rt->attach_thread();
   Xoshiro256 rng(0x5eedULL + static_cast<std::uint64_t>(state.thread_index()));
   const std::uint64_t allocs_before = t_alloc_count;
@@ -385,26 +370,10 @@ void BM_IntsetWriteHeavy(benchmark::State& state) {
       benchmark::Counter(attempts > 0 ? allocs / attempts : 0.0,
                          benchmark::Counter::kAvgThreads);
   state.counters["attempts"] = benchmark::Counter(attempts, benchmark::Counter::kIsRate);
-  // Shared commit-clock line traffic (summed across bench threads): in
-  // deferred mode clock_bumps must sit far below deferred_stamps (the
-  // write-commit count); in eager mode clock_bumps IS the commit count.
-  state.counters["clock_bumps"] =
-      benchmark::Counter(static_cast<double>(after.clock_bumps - before.clock_bumps));
-  state.counters["deferred_stamps"] =
-      benchmark::Counter(static_cast<double>(after.deferred_stamps - before.deferred_stamps));
-  std::string label = pooling ? "pooled" : "malloc";
-  if (clock_mode != 0) label += clock_mode == 1 ? "+deferred" : "+eager";
-  state.SetLabel(label);
   shared.rt->detach_thread(tc);
   release_shared();
 }
-BENCHMARK(BM_IntsetWriteHeavy)
-    ->Threads(8)
-    ->Args({1, 0})
-    ->Args({0, 0})
-    ->Args({1, 1})
-    ->Args({1, 2})
-    ->UseRealTime();
+BENCHMARK(BM_IntsetWriteHeavy)->Threads(8)->UseRealTime();
 
 }  // namespace
 

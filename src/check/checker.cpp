@@ -59,8 +59,6 @@ stm::RuntimeConfig::DebugFaults parse_bug(const std::string& bug) {
     b.skip_reader_abort = true;
   } else if (bug == "skip-cas-recheck") {
     b.skip_cas_recheck = true;
-  } else if (bug == "stamp-no-pending") {
-    b.stamp_no_pending = true;
   } else if (bug == "skip-read-validation") {
     b.orec_skip_validation = true;  // orec backend only; a no-op under dstm
   } else if (bug == "park-lost-wakeup") {
@@ -68,7 +66,7 @@ stm::RuntimeConfig::DebugFaults parse_bug(const std::string& bug) {
   } else {
     throw std::invalid_argument("unknown seeded bug \"" + bug +
                                 "\" (none|blind-commit|skip-reader-abort|skip-cas-recheck|"
-                                "stamp-no-pending|skip-read-validation|park-lost-wakeup)");
+                                "skip-read-validation|park-lost-wakeup)");
   }
   return b;
 }
@@ -124,7 +122,6 @@ RunResult Checker::run_with_policy(Policy& policy, const CheckConfig& cfg) {
   rtc.arbitration = stm::parse_arbitration(cfg.arbitration);
   rtc.visible_reads = cfg.visible_reads;
   rtc.snapshot_ext = cfg.snapshot_ext;
-  rtc.deferred_clock = cfg.deferred_clock;
   rtc.bugs = parse_bug(cfg.bug);
   if (cfg.liveness) {
     // Checker-friendly liveness: tight thresholds so short runs reach the

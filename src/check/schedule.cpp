@@ -93,7 +93,6 @@ std::string to_text(const Schedule& schedule) {
   out << "key_range " << c.key_range << '\n';
   out << "visible_reads " << (c.visible_reads ? 1 : 0) << '\n';
   out << "snapshot_ext " << (c.snapshot_ext ? 1 : 0) << '\n';
-  out << "deferred_clock " << (c.deferred_clock ? 1 : 0) << '\n';
   out << "prefill " << (c.prefill ? 1 : 0) << '\n';
   out << "op_mix " << c.op_mix << '\n';
   out << "update_percent " << c.update_percent << '\n';
@@ -127,11 +126,6 @@ Schedule schedule_from_text(const std::string& text) {
   }
   Schedule s;
   CheckConfig& c = s.config;
-  // Files predating the deferred clock were recorded against the eager
-  // clock, whose commit path has one fewer schedule point — replaying them
-  // under the new default (on) would diverge decision-for-decision. Absent
-  // key ⇒ the behavior those runs actually had; new files always carry it.
-  c.deferred_clock = false;
   std::size_t lineno = 1;
   while (std::getline(in, line)) {
     ++lineno;
@@ -162,7 +156,18 @@ Schedule schedule_from_text(const std::string& text) {
       // Absent in pre-fast-path files: they default to 1, matching the
       // runtime default those runs implicitly had once the flag exists.
       else if (key == "snapshot_ext") c.snapshot_ext = sval != "0";
-      else if (key == "deferred_clock") c.deferred_clock = sval != "0";
+      // The deferred commit clock was removed. Files without the key, or
+      // with 0, were recorded under the eager clock, the only one left. A
+      // file recorded with it on has an extra commit schedule point, so
+      // replaying it would silently diverge — refuse it instead.
+      else if (key == "deferred_clock") {
+        if (sval != "0") {
+          throw std::runtime_error(
+              "schedule: line " + std::to_string(lineno) +
+              ": recorded under the removed deferred commit clock (deferred_clock " + sval +
+              "); re-record it");
+        }
+      }
       else if (key == "prefill") c.prefill = sval != "0";
       else if (key == "op_mix") c.op_mix = sval;
       else if (key == "update_percent") c.update_percent = as_u32();

@@ -73,11 +73,6 @@ struct CheckConfig {
   /// serialized so a repro replays with the exact validation behavior, and
   /// togglable so explore can prove ext-on/ext-off histories coincide.
   bool snapshot_ext = true;
-  /// Deferred commit clock (see stm::RuntimeConfig::deferred_clock). On by
-  /// default to match the runtime; only effective with snapshot_ext and
-  /// invisible reads. Serialized because deferred mode has an extra commit
-  /// schedule point — a repro must replay with the same point stream.
-  bool deferred_clock = true;
   bool prefill = true;
   /// Op mix: "default" = insert/remove/contains/move/pair-read,
   /// "insert-heavy" = insert/contains/pair-read only (no node retirement —
@@ -111,7 +106,7 @@ struct CheckConfig {
   FaultOptions faults;
   /// Seeded protocol bug to arm (stm::RuntimeConfig::DebugFaults):
   /// none | blind-commit | skip-reader-abort | skip-cas-recheck |
-  /// stamp-no-pending | skip-read-validation (orec backend).
+  /// skip-read-validation (orec backend) | park-lost-wakeup.
   std::string bug = "none";
 
   std::uint64_t effective_max_steps() const noexcept {

@@ -64,15 +64,9 @@ void register_matrix_flags(Cli& cli, const std::string& default_benchmarks,
                "(requester-waits: losers park until the winner's status transition)",
                std::string("abort"));
   cli.add_flag("visible-reads", "visible (paper) vs invisible (validated) reads", true);
-  cli.add_flag("pooling", "recycle TxDesc/Locator/clone blocks through thread pools", true);
   cli.add_flag("snapshot-ext",
                "commit-clock snapshot extension for invisible reads (off = validate "
                "the read set on every open)",
-               true);
-  cli.add_flag("deferred-clock",
-               "GV5-style deferred commit clock: write-commits stamp clock+1 without "
-               "bumping the shared line, which only moves on snapshot extension (off = "
-               "eager fetch_add per commit; needs --snapshot-ext, invisible reads)",
                true);
   cli.add_flag("validate", "check structure invariants after each run", true);
   cli.add_flag("csv", "emit CSV instead of aligned tables", false);
@@ -137,9 +131,7 @@ MatrixSpec matrix_from_cli(const Cli& cli) {
   spec.base.backend = cli.get_string("backend");
   spec.base.arbitration = cli.get_string("arbitration");
   spec.base.visible_reads = cli.get_bool("visible-reads");
-  spec.base.pooling = cli.get_bool("pooling");
   spec.base.snapshot_ext = cli.get_bool("snapshot-ext");
-  spec.base.deferred_clock = cli.get_bool("deferred-clock");
   spec.base.validate = cli.get_bool("validate");
   spec.repetitions = static_cast<unsigned>(cli.get_int("runs"));
   spec.key_range = cli.get_int("key-range");

@@ -24,9 +24,7 @@ RunResult run_workload(const std::string& cm_name, cm::Params cm_params, Workloa
   rt_config.arbitration = stm::parse_arbitration(run.arbitration);
   cm_params.requester_waits = rt_config.arbitration == stm::ArbitrationMode::kWait;
   rt_config.visible_reads = run.visible_reads;
-  rt_config.pooling = run.pooling;
   rt_config.snapshot_ext = run.snapshot_ext;
-  rt_config.deferred_clock = run.deferred_clock;
   if (run.preempt_permille < 0) {
     rt_config.preempt_yield_permille = hardware_cpus() < run.threads ? 25 : 0;
   } else {

@@ -47,20 +47,11 @@ struct RunConfig {
   /// descriptor until its status transition). Parsed with
   /// stm::parse_arbitration. See DESIGN.md §13.
   std::string arbitration = "abort";
-  /// Recycle protocol metadata through per-thread pools (see
-  /// stm::RuntimeConfig::pooling). Off reproduces the allocator-bound
-  /// pre-pooling numbers for overhead comparisons.
-  bool pooling = true;
   /// Invisible-read snapshot-extension fast path (see
   /// stm::RuntimeConfig::snapshot_ext). Off reproduces the
   /// validate-on-every-open O(R²) numbers for overhead comparisons;
   /// no effect with visible reads.
   bool snapshot_ext = true;
-  /// GV5-style deferred commit clock (see stm::RuntimeConfig::deferred_clock
-  /// and DESIGN.md §11). Off reproduces the eager one-fetch_add-per-commit
-  /// shared line for A/B scaling comparisons; only effective with
-  /// snapshot_ext and invisible reads.
-  bool deferred_clock = true;
   /// When non-empty, record transaction events during the measured interval
   /// and write them here after the run: Chrome trace_event JSON if the path
   /// ends in ".json", the compact binary format otherwise (read it back

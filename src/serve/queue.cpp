@@ -120,12 +120,23 @@ bool BoundedQueue::pop_wait(TxRequest* out, std::int64_t timeout_ns) {
     // the mutex — visible here, skip the wait — or notifies after we block.
     // Without this, the close() edge between the pop_waiters_ announcement
     // and the wait is lost and the drain stalls for the full timeout.
-    if (!closed_.load(std::memory_order_acquire)) {
+    // Likewise skip the wait when the head cell is already published: a
+    // push whose notify_one landed between the re-check above and our
+    // taking the mutex published its cell before locking to notify, so it
+    // is visible here even though the notify reached nobody.
+    if (!closed_.load(std::memory_order_acquire) && !head_published()) {
       not_empty_.wait_for(lk, std::chrono::nanoseconds(timeout_ns));
     }
   }
   pop_waiters_.fetch_sub(1, std::memory_order_relaxed);
   return try_pop(out);
+}
+
+bool BoundedQueue::head_published() const noexcept {
+  // Non-destructive peek at the Vyukov sequence number: the cell at head_
+  // holds a pushed item exactly when seq == head + 1 (see try_pop).
+  const std::uint64_t pos = head_.load(std::memory_order_acquire);
+  return cells_[pos & mask_].seq.load(std::memory_order_acquire) == pos + 1;
 }
 
 void BoundedQueue::close() {
@@ -143,17 +154,22 @@ void BoundedQueue::note_depth(std::uint64_t depth) noexcept {
 }
 
 void BoundedQueue::wake_consumer() noexcept {
-  // seq_cst: the other half of the pop_wait() Dekker pair — this load must
-  // be ordered after the seq.store(release) that published the item in the
-  // single total order, so either the waiter's re-check pops the item or
-  // this load sees the waiter. Audited for PR 7: NOT relaxable.
+  // The other half of the pop_wait() Dekker pair: either the waiter's
+  // re-check pops the item or this load sees the waiter. The item was
+  // published by a release store, which a later load may pass (x86 store
+  // buffering does exactly that), so the fence is what orders "published"
+  // before "waiters read"; without it both sides miss and the consumer
+  // sleeps out its timeout. NOT relaxable.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   if (pop_waiters_.load(std::memory_order_seq_cst) == 0) return;
   std::lock_guard<std::mutex> lk(wait_mutex_);
   not_empty_.notify_one();
 }
 
 void BoundedQueue::wake_producer() noexcept {
-  // seq_cst: other half of the push_wait() Dekker pair (see wake_consumer).
+  // Other half of the push_wait() Dekker pair; the fence orders the slot
+  // release before the waiter read (see wake_consumer).
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   if (push_waiters_.load(std::memory_order_seq_cst) == 0) return;
   std::lock_guard<std::mutex> lk(wait_mutex_);
   not_full_.notify_one();

@@ -81,6 +81,9 @@ class BoundedQueue {
   };
 
   void note_depth(std::uint64_t depth) noexcept;
+  /// True when the cell at head_ holds a published item (pop_wait's
+  /// under-mutex re-check; pops nothing).
+  bool head_published() const noexcept;
   void wake_consumer() noexcept;
   void wake_producer() noexcept;
 

@@ -11,17 +11,13 @@ std::string MetricsSummary::to_string() const {
                         "throughput=%.0f tx/s  aborts/commit=%.3f  wasted=%.1f%%  response=%.1fus",
                         throughput_per_s, aborts_per_commit, wasted_fraction * 100.0,
                         mean_response_us);
-  // Shared-line contention (DESIGN.md §11): only shown when the deferred
-  // clock / stripes / sharded EBR actually fired, so eager visible-read
-  // runs keep the familiar one-line summary.
-  if (n > 0 && (clock_bumps | deferred_stamps | snapshot_interference | reader_stripe_retries |
-                ebr_shard_syncs) != 0) {
+  // Shared-line contention (DESIGN.md §11): only shown when the clock /
+  // stripes / sharded EBR actually fired, so visible-read runs keep the
+  // familiar one-line summary.
+  if (n > 0 && (clock_bumps | reader_stripe_retries | ebr_shard_syncs) != 0) {
     std::snprintf(buf + n, sizeof(buf) - static_cast<std::size_t>(n),
-                  "  clock_bumps=%llu deferred_stamps=%llu snapshot_interference=%llu "
-                  "stripe_retries=%llu ebr_syncs=%llu",
+                  "  clock_bumps=%llu stripe_retries=%llu ebr_syncs=%llu",
                   static_cast<unsigned long long>(clock_bumps),
-                  static_cast<unsigned long long>(deferred_stamps),
-                  static_cast<unsigned long long>(snapshot_interference),
                   static_cast<unsigned long long>(reader_stripe_retries),
                   static_cast<unsigned long long>(ebr_shard_syncs));
   }
@@ -50,8 +46,6 @@ MetricsSummary summarize(const ThreadMetrics& totals, std::int64_t elapsed_ns) {
   s.commits = totals.commits;
   s.aborts = totals.aborts;
   s.clock_bumps = totals.clock_bumps;
-  s.deferred_stamps = totals.deferred_stamps;
-  s.snapshot_interference = totals.snapshot_interference;
   s.reader_stripe_retries = totals.reader_stripe_retries;
   s.ebr_shard_syncs = totals.ebr_shard_syncs;
   s.orec_lock_acquires = totals.orec_lock_acquires;

@@ -67,16 +67,9 @@ struct ThreadMetrics {
 
   // Shared-line contention (see DESIGN.md §11). These separate "how often a
   // thread wrote a process-wide cache line" from "how often it wanted to".
-  /// Writes to the shared commit-clock line: eager mode counts one per
-  /// write-commit (the PR 5 fetch_add); deferred mode counts only the
-  /// extension-path CAS advances — the whole point of GV5-style deferral.
+  /// Writes to the shared commit-clock line: one fetch_add per write-commit
+  /// that bumps the clock.
   std::uint64_t clock_bumps = 0;
-  /// Write-commits that stamped `clock+1` into their descriptor without
-  /// touching the shared clock line (deferred mode only).
-  std::uint64_t deferred_stamps = 0;
-  /// Snapshot establishments retried or refused because a commit completed
-  /// mid-scan (the deferred clock's interference rule; see DESIGN.md §11).
-  std::uint64_t snapshot_interference = 0;
   /// Failed CAS iterations on the striped visible-reader records: the
   /// residual announce/clear contention the stripes exist to spread.
   std::uint64_t reader_stripe_retries = 0;
@@ -149,8 +142,6 @@ struct ThreadMetrics {
     validation_saved_ns += other.validation_saved_ns;
     dup_reads += other.dup_reads;
     clock_bumps += other.clock_bumps;
-    deferred_stamps += other.deferred_stamps;
-    snapshot_interference += other.snapshot_interference;
     reader_stripe_retries += other.reader_stripe_retries;
     ebr_shard_syncs += other.ebr_shard_syncs;
     orec_lock_acquires += other.orec_lock_acquires;
@@ -184,8 +175,6 @@ struct MetricsSummary {
   // Shared-line contention totals (DESIGN.md §11); all zero when the
   // relevant subsystem is off, and then omitted from to_string().
   std::uint64_t clock_bumps = 0;
-  std::uint64_t deferred_stamps = 0;
-  std::uint64_t snapshot_interference = 0;
   std::uint64_t reader_stripe_retries = 0;
   std::uint64_t ebr_shard_syncs = 0;
 

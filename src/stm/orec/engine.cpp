@@ -401,11 +401,9 @@ bool OrecEngine::commit(ThreadCtx& tc) {
   } else {
     validate_read_set(tc);
   }
-  // wv: eager bump on the shared clock, the PR 5 protocol. The PR 7
-  // deferred-stamping machinery stays DSTM-only — orec readers key
-  // validation off orec words, which must carry a real clock value at
-  // release time, so there is no orec-side consumer for a lazy stamp
-  // (DESIGN.md §12).
+  // wv: eager bump on the shared clock, the same discipline as the DSTM
+  // engine; orec readers key validation off orec words, which carry this
+  // value at release time (DESIGN.md §12).
   const std::uint64_t wv = rt_.commit_clock_->fetch_add(1, std::memory_order_seq_cst) + 1;
   tc.metrics_.clock_bumps++;
   TxStatus expected = TxStatus::kActive;

@@ -30,28 +30,10 @@ class DstmBackend final : public Backend {
 
   void begin(ThreadCtx& tc) override {
     if (!rt_.snapshot_ext_on_) return;
-    if (rt_.deferred_clock_on_) {
-      // Refresh the (clock, pending-set) snapshot for this attempt's
-      // fast-accepts. A snapshot's claim — "every commit with stamp <=
-      // snapshot_clock_ whose owner is not in the pending set completed
-      // before the establishment instant" — is about the global commit
-      // order, not about any one attempt, so on mid-scan interference the
-      // previous attempt's snapshot is kept: older merely accepts fewer
-      // stamps (DESIGN.md §11).
-      std::uint64_t clock = 0;
-      if (rt_.snapshot_establish(tc, clock)) {
-        tc.snapshot_clock_ = clock;
-        tc.pending_at_snapshot_.swap(tc.pending_scratch_);
-        tc.snapshot_valid_ = true;
-      } else {
-        tc.metrics_.snapshot_interference++;
-      }
-    } else {
-      // Validated-snapshot timestamp: the read set is empty, so invariant I
-      // (DESIGN.md §5) holds vacuously at this sample and every later open
-      // may skip validation until the clock moves past it.
-      tc.snapshot_clock_ = rt_.commit_clock_->load(std::memory_order_seq_cst);
-    }
+    // Validated-snapshot timestamp: the read set is empty, so invariant I
+    // (DESIGN.md §5) holds vacuously at this sample and every later open
+    // may skip validation until the clock moves past it.
+    tc.snapshot_clock_ = rt_.commit_clock_->load(std::memory_order_seq_cst);
   }
 
   const void* open_read(ThreadCtx& tc, TObjectBase& obj) override {
@@ -81,14 +63,12 @@ Runtime::Runtime(cm::ManagerPtr manager, Config config)
   // Visible mode never validates, so the clock would be pure cache-line
   // traffic there; cache the combined toggle for the hot paths.
   snapshot_ext_on_ = config_.snapshot_ext && !config_.visible_reads;
-  deferred_clock_on_ = snapshot_ext_on_ && config_.deferred_clock;
   if (config_.backend == BackendKind::kOrec) {
     // The orec engine validates against orec words and the commit clock
-    // directly; the locator-mode read knobs (visible_reads, snapshot_ext,
-    // deferred_clock) have no orec-side consumer and stay off so no DSTM
-    // machinery runs by accident (see DESIGN.md §12 on the clock).
+    // directly; the locator-mode read knobs (visible_reads, snapshot_ext)
+    // have no orec-side consumer and stay off so no DSTM machinery runs by
+    // accident (see DESIGN.md §12 on the clock).
     snapshot_ext_on_ = false;
-    deferred_clock_on_ = false;
     backend_ = std::make_unique<OrecEngine>(*this, config_.orec_table_bits);
   } else {
     backend_ = std::make_unique<DstmBackend>(*this);
@@ -194,15 +174,9 @@ ThreadCtx& Runtime::attach_thread() {
     if (slot_used_[i].compare_exchange_strong(expected, true, std::memory_order_acq_rel)) {
       const std::uint64_t seed = config_.seed * 0x9e3779b97f4a7c15ULL + i + 1;
       threads_[i].reset(new ThreadCtx(this, i, ebr_.attach(), seed));
-      if (config_.pooling) {
-        threads_[i]->pool_ = util::Pool::acquire();
-        threads_[i]->ebr_.set_pool(threads_[i]->pool_);
-      }
+      threads_[i]->pool_ = util::Pool::acquire();
+      threads_[i]->ebr_.set_pool(threads_[i]->pool_);
       threads_[i]->ebr_.set_sync_counter(&threads_[i]->metrics_.ebr_shard_syncs);
-      // Bounds the deferred-clock pending scans; monotone under the mutex.
-      if (i + 1 > attached_high_water_.load(std::memory_order_relaxed)) {
-        attached_high_water_.store(i + 1, std::memory_order_release);
-      }
       return *threads_[i];
     }
   }
@@ -406,90 +380,29 @@ bool Runtime::finish_attempt_commit(ThreadCtx& tc) {
 bool Runtime::dstm_commit(ThreadCtx& tc) {
   TxDesc* desc = tc.current_;
   // Invisible reads: the read set must still be current at the commit
-  // point (throws TxAbort into the atomically() retry loop on failure).
-  if (!config_.visible_reads) {
-    if (deferred_clock_on_) {
-      // Deferred clock (DESIGN.md §11): a read-only attempt serializes at
-      // its snapshot-establishment instant — every fast-accepted read was
-      // proven ordered before it, every extension re-validated the whole
-      // set — so no commit-time pass is needed. A writing attempt runs one
-      // full pass: that last validation is its serialization point (the
-      // classic DSTM doctrine for the validation→status-CAS window).
-      if (tc.wrote_this_attempt_) {
-        validate_pass(tc);
-      } else {
-        tc.metrics_.validations_skipped++;
-        tc.metrics_.validation_saved_ns += tc.validate_pass_ewma_ns_;
-      }
-    } else {
-      // Eager clock: a skipped pass means no write committed since the last
-      // full validation, and this skip-check is then the attempt's
-      // serialization instant.
-      validate_or_extend(tc);
-    }
-  }
+  // point (throws TxAbort into the atomically() retry loop on failure). A
+  // skipped pass means no write committed since the last full validation,
+  // and this skip-check is then the attempt's serialization instant.
+  if (!config_.visible_reads) validate_or_extend(tc);
   // Chaos: delayed commit (sleep between the decision and the status CAS —
   // the classic window for lost-update bugs) or a spurious late abort.
   if (chaos_ != nullptr) [[unlikely]] chaos_at_commit(tc);
-  // Retraction guard for the deferred-clock commit-pending slot: every exit
-  // (status CAS taken or lost, blind-commit bug, checker-injected abort
-  // unwinding from the schedule point below) must clear the announcement
-  // and bump the slot's retraction sequence, or snapshot establishments
-  // would refuse this thread's stamps forever.
-  struct PendingGuard {
-    CommitPending* slot = nullptr;
-    void fire() noexcept {
-      if (slot == nullptr) return;
-      slot->desc.store(nullptr, std::memory_order_seq_cst);
-      slot->seq.store(slot->seq.load(std::memory_order_relaxed) + 1,
-                      std::memory_order_seq_cst);
-      slot = nullptr;
-    }
-    ~PendingGuard() { fire(); }
-  } pending_guard;
   if (snapshot_ext_on_ && tc.wrote_this_attempt_) {
-    if (deferred_clock_on_) {
-      // Deferred stamping (TL2-GV5 adapted to the locator protocol; proof
-      // in DESIGN.md §11). Order matters and is all seq_cst: announce in
-      // the per-thread commit-pending slot, read the clock, stamp G+1 into
-      // the descriptor, status-CAS, retract. A snapshot establishment that
-      // could mis-order this commit either scans the announcement (the
-      // stamp lands in its pending set) or brackets the retraction (its
-      // per-slot sequence check detects the interference); in every other
-      // interleaving the stamp-read follows the establishment's clock
-      // sample, so the stamp exceeds its snapshot and is refused by value.
-      CommitPending& cp = commit_pending_[tc.slot_];
-      cp.desc.store(desc, std::memory_order_seq_cst);
-      pending_guard.slot = &cp;
-      const std::uint64_t g = commit_clock_->load(std::memory_order_seq_cst);
-      // Relaxed store: readers load the stamp only after an acquire load of
-      // status observes kCommitted, so the CAS below publishes it.
-      desc->commit_stamp.store(g + 1, std::memory_order_relaxed);
-      tc.metrics_.deferred_stamps++;
-      // The stamp→CAS window is exactly what the commit-pending rule
-      // closes; give the checker a schedule point inside it so exploration
-      // (and the seeded stamp_no_pending bug) can stall a writer here.
-      if (sched_point(check::Point::kCommit) == check::Action::kInjectAbort) {
-        injected_abort(tc);  // PendingGuard retracts during unwind
-      }
-    } else {
-      // Eager clock: bump *before* the status transition, so in the seq_cst
-      // total order any reader that still samples the pre-bump value is
-      // ordered before this commit's version switch and its skipped
-      // validation stays sound (DESIGN.md §5). A bump for a CAS that then
-      // loses to a remote kill is harmless — the clock only has to dominate
-      // the set of successful write-commits, and spurious advances merely
-      // force an extra extension pass somewhere.
-      commit_clock_->fetch_add(1, std::memory_order_seq_cst);
-      tc.metrics_.clock_bumps++;
-    }
+    // Bump *before* the status transition, so in the seq_cst total order any
+    // reader that still samples the pre-bump value is ordered before this
+    // commit's version switch and its skipped validation stays sound
+    // (DESIGN.md §5). A bump for a CAS that then loses to a remote kill is
+    // harmless — the clock only has to dominate the set of successful
+    // write-commits, and spurious advances merely force an extra extension
+    // pass somewhere.
+    commit_clock_->fetch_add(1, std::memory_order_seq_cst);
+    tc.metrics_.clock_bumps++;
   }
   if (config_.bugs.blind_commit) [[unlikely]] {
     // SEEDED BUG: a plain store cannot detect a remote kill that landed
     // between the last open and here — the enemy already proceeded on our
     // old version, so "committing" anyway loses the update.
     desc->status.store(TxStatus::kCommitted, std::memory_order_seq_cst);
-    pending_guard.fire();
     // SEEDED BUG (park-lost-wakeup): drop the commit-path unpark edge.
     if (!config_.bugs.park_lost_wakeup) signal_status_change(&tc, desc);
     return true;
@@ -497,9 +410,6 @@ bool Runtime::dstm_commit(ThreadCtx& tc) {
   TxStatus expected = TxStatus::kActive;
   const bool committed = desc->status.compare_exchange_strong(
       expected, TxStatus::kCommitted, std::memory_order_seq_cst);
-  // Retract promptly (a lost CAS retracts too — the spurious sequence bump
-  // at worst costs somebody one establishment retry).
-  pending_guard.fire();
   // Commit is a status transition: waiters parked on this descriptor must
   // wake. The seeded park-lost-wakeup bug elides exactly this edge (the
   // abort-path edges stay), turning a missed commit notification into
@@ -868,18 +778,18 @@ const void* Runtime::dstm_open_read(ThreadCtx& tc, TObjectBase& obj) {
     ensure_alive(tc);
     Locator* l = obj.loc_.load(std::memory_order_seq_cst);
     TxDesc* owner = l->owner;
-    if (owner == nullptr || owner == me) {
+    const TxStatus st =
+        owner == nullptr || owner == me ? TxStatus::kCommitted
+                                        : owner->status.load(std::memory_order_acquire);
+    if (st != TxStatus::kActive) {
+      // Re-check our own status after the load: a writer that committed the
+      // version we are about to return and conflicts with an earlier read of
+      // ours killed us before its commit CAS, so the kill is visible here.
+      // Without this a killed reader would run on a mix of old and new
+      // versions (e.g. erase a key its bucket no longer holds).
+      ensure_alive(tc);
       manager_->on_open(tc, *me);
-      return l->new_version;
-    }
-    const TxStatus st = owner->status.load(std::memory_order_acquire);
-    if (st == TxStatus::kCommitted) {
-      manager_->on_open(tc, *me);
-      return l->new_version;
-    }
-    if (st == TxStatus::kAborted) {
-      manager_->on_open(tc, *me);
-      return l->old_version;
+      return st == TxStatus::kAborted ? l->old_version : l->new_version;
     }
     // Active enemy writer.
     tc.metrics_.rw_conflicts++;
@@ -908,14 +818,10 @@ const void* Runtime::dstm_open_read_invisible(ThreadCtx& tc, TObjectBase& obj) {
     Locator* l = obj.loc_.load(std::memory_order_seq_cst);
     TxDesc* owner = l->owner;
     const void* version = nullptr;
-    // Resolved status of a foreign owner (only consulted then); kActive
-    // never reaches the validation below — it is arbitrated away first.
-    TxStatus owner_st = TxStatus::kCommitted;
     if (owner == nullptr || owner == me) {
       version = l->new_version;
     } else {
       const TxStatus st = owner->status.load(std::memory_order_acquire);
-      owner_st = st;
       if (st == TxStatus::kCommitted) {
         version = l->new_version;
       } else if (st == TxStatus::kAborted) {
@@ -942,13 +848,8 @@ const void* Runtime::dstm_open_read_invisible(ThreadCtx& tc, TObjectBase& obj) {
     // validated — then the whole read set is a snapshot as of this instant.
     // With the snapshot-extension fast path this is O(R) only when a write
     // committed since the attempt's last full pass; otherwise the clock
-    // comparison (eager) or the per-object stamp check (deferred — no
-    // shared-line access at all) stands in for the pass (amortized O(1)).
-    if (deferred_clock_on_) {
-      validate_or_extend_deferred(tc, owner, owner_st);
-    } else {
-      validate_or_extend(tc);
-    }
+    // comparison stands in for the pass (amortized O(1)).
+    validate_or_extend(tc);
     // Schedule point inside the validate→recheck window: this is the exact
     // preemption the recheck below exists to survive, so the checker must be
     // able to interleave a writer here.
@@ -1091,143 +992,6 @@ void Runtime::validate_or_extend(ThreadCtx& tc) {
   }
 }
 
-bool Runtime::snapshot_establish(ThreadCtx& tc, std::uint64_t& clock_out) {
-  const unsigned hi = attached_high_water_.load(std::memory_order_acquire);
-  auto& seqs = tc.pending_seq_scratch_;
-  seqs.resize(hi);
-  // Pass 1, before the clock sample: per-slot retraction sequences. A
-  // commit whose status CAS could land after the sample but whose slot the
-  // pending scan would find already retracted is exactly the one a single
-  // scan mis-orders; it necessarily bumps its sequence inside this bracket.
-  for (unsigned i = 0; i < hi; ++i) {
-    seqs[i] = commit_pending_[i].seq.load(std::memory_order_seq_cst);
-  }
-  const std::uint64_t clock = commit_clock_->load(std::memory_order_seq_cst);
-  // Pass 2, after the sample: the commit-pending set, then the sequence
-  // re-read (per slot, in that order — the proof needs the re-read to
-  // follow the slot's pending read). Case analysis per announced writer W
-  // with stamp <= clock whose switch might postdate the sample: W still
-  // announced here → lands in the pending set, refused by identity; W
-  // retracted first → its sequence bump is inside the bracket, detected as
-  // interference; W announced only after its slot was scanned → its clock
-  // read follows our sample, so its stamp exceeds `clock` and is refused
-  // by value. (DESIGN.md §11.)
-  tc.pending_scratch_.clear();
-  bool stable = true;
-  for (unsigned i = 0; i < hi; ++i) {
-    const CommitPending& cp = commit_pending_[i];
-    if (const TxDesc* w = cp.desc.load(std::memory_order_seq_cst)) {
-      if (w != tc.current_) tc.pending_scratch_.push_back(w);
-    }
-    stable &= cp.seq.load(std::memory_order_seq_cst) == seqs[i];
-  }
-  clock_out = clock;
-  return stable;
-}
-
-void Runtime::validate_or_extend_deferred(ThreadCtx& tc, TxDesc* owner, TxStatus st) {
-  TxDesc* me = tc.current_;
-  if (owner == me) {
-    // Own acquisition: the returned clone is transaction-local, so this
-    // open adds no new shared observation and the recorded set cannot have
-    // become newly inconsistent through it — nothing to validate.
-    tc.metrics_.validations_skipped++;
-    tc.metrics_.validation_saved_ns += tc.validate_pass_ewma_ns_;
-    return;
-  }
-  std::uint64_t trigger = 0;
-  bool fast = false;
-  bool owner_pending = false;
-  if (tc.snapshot_valid_) {
-    if (owner == nullptr) {
-      // Initial locator: never switched. The version has been current since
-      // the object was published, and whichever validated read led us to
-      // this object proves the publishing commit precedes the snapshot.
-      fast = true;
-    } else if (st == TxStatus::kCommitted) {
-      trigger = owner->commit_stamp.load(std::memory_order_acquire);
-      for (const TxDesc* w : tc.pending_at_snapshot_) owner_pending |= (w == owner);
-      // SEEDED BUG (stamp_no_pending): dropping the pending-set membership
-      // check treats a writer that was still mid-commit at snapshot
-      // establishment — its status CAS possibly after the establishment
-      // instant — as pre-snapshot (opacity bug, DESIGN.md §11).
-      fast = trigger <= tc.snapshot_clock_ &&
-             (!owner_pending || config_.bugs.stamp_no_pending);
-    }
-    // st == kAborted: old_version is current, but its *producing* writer's
-    // identity is gone (only its stamp could be carried, and the pending
-    // rule needs the identity) — take the extension path. Rare: an aborted
-    // locator is replaced by the next acquirer.
-  }
-  if (fast) {
-    tc.metrics_.validations_skipped++;
-    tc.metrics_.validation_saved_ns += tc.validate_pass_ewma_ns_;
-    if (config_.checker != nullptr && owner_pending) {
-      // Ghost oracle (checker builds only): a fast-accept's soundness
-      // precondition is that the owner's switch is provably ordered before
-      // the snapshot instant; an owner recorded as mid-commit at
-      // establishment has no such proof — its status CAS may have landed
-      // after the establishment, which is the exact staleness window the
-      // seeded stamp_no_pending bug opens. (Unlike the eager fast path,
-      // recorded entries may here be legitimately superseded — the attempt
-      // serializes at its snapshot instant — so no full-set re-check.)
-      config_.checker->on_opacity_violation(
-          "deferred-clock fast path accepted a stamp from a writer that was "
-          "mid-commit at snapshot establishment");
-    }
-    return;
-  }
-  extend_deferred(tc, trigger);
-}
-
-void Runtime::extend_deferred(ThreadCtx& tc, std::uint64_t trigger_stamp) {
-  // Raise the clock to cover the triggering stamp first, so this extension
-  // is the one shared-line write amortized over the whole clock generation:
-  // every other thread tripping over the same generation finds the clock
-  // already raised, re-establishes, and fast-accepts from then on. Stamps
-  // are G+1 for some observed clock G <= current, so the raise is by one.
-  if (trigger_stamp != 0) {
-    std::uint64_t cur = commit_clock_->load(std::memory_order_seq_cst);
-    while (cur < trigger_stamp) {
-      if (commit_clock_->compare_exchange_weak(cur, trigger_stamp,
-                                               std::memory_order_seq_cst)) {
-        tc.metrics_.clock_bumps++;
-        if (trace::Recorder* rec = config_.recorder) {
-          rec->record(tc.slot_, trace::EventKind::kClockBump, tc.current_->serial, 0,
-                      trace::kNoEnemy, trigger_stamp);
-        }
-        break;
-      }
-    }
-  }
-  std::uint64_t clock = 0;
-  const bool stable = snapshot_establish(tc, clock);
-  const std::int64_t t0 = now_ns();
-  validate_pass(tc);  // aborts self on any stale entry
-  const std::int64_t pass_ns = now_ns() - t0;
-  tc.validate_pass_ewma_ns_ = tc.validate_pass_ewma_ns_ == 0
-                                  ? pass_ns
-                                  : (3 * tc.validate_pass_ewma_ns_ + pass_ns) / 4;
-  tc.metrics_.extensions++;
-  if (stable) {
-    // Advance. Eager mode's per-entry pending-writer rule is subsumed by
-    // the commit-pending scan: an entry's still-active owner either had
-    // announced before the scan (its commits stay refusable by identity)
-    // or will read its stamp after our sample (refusable by value) — see
-    // DESIGN.md §11.
-    tc.snapshot_clock_ = clock;
-    tc.pending_at_snapshot_.swap(tc.pending_scratch_);
-    tc.snapshot_valid_ = true;
-  } else {
-    tc.metrics_.snapshot_interference++;
-  }
-  if (trace::Recorder* rec = config_.recorder) {
-    rec->record(tc.slot_, trace::EventKind::kSnapshotExtend, tc.current_->serial,
-                stable ? 1 : 0, trace::kNoEnemy,
-                static_cast<std::uint64_t>(tc.invis_reads_.size()), clock);
-  }
-}
-
 void* Runtime::dstm_open_write(ThreadCtx& tc, TObjectBase& obj) {
   TxDesc* me = tc.current_;
 
@@ -1245,15 +1009,10 @@ void* Runtime::dstm_open_write(ThreadCtx& tc, TObjectBase& obj) {
 
     void* current = nullptr;
     void* dead = nullptr;
-    // Resolved status of the replaced locator's owner (stable: it already
-    // left kActive); feeds the deferred-clock validation below, which
-    // treats the clone's base as a fresh shared observation.
-    TxStatus prev_st = TxStatus::kCommitted;
     if (owner == nullptr) {
       current = l->new_version;
     } else {
       const TxStatus st = owner->status.load(std::memory_order_acquire);
-      prev_st = st;
       if (st == TxStatus::kCommitted) {
         current = l->new_version;
         dead = l->old_version;
@@ -1300,17 +1059,15 @@ void* Runtime::dstm_open_write(ThreadCtx& tc, TObjectBase& obj) {
         // SEEDED BUG (skip_reader_abort): acquiring without resolving the
         // visible readers leaves them on snapshots this write supersedes.
         if (!config_.bugs.skip_reader_abort) resolve_readers(tc, obj);
+        // The clone's base is a fresh observation: re-check our own status
+        // for the same reason as in dstm_open_read.
+        ensure_alive(tc);
       } else {
         // DSTM validates on every open: the clone's base (the replaced
         // locator's committed version) is a fresh shared observation the
         // user code is about to see, so the set + base must still be one
-        // snapshot. The deferred fast path keys off the *replaced*
-        // locator's owner — the producer of the base version.
-        if (deferred_clock_on_) {
-          validate_or_extend_deferred(tc, owner, prev_st);
-        } else {
-          validate_or_extend(tc);
-        }
+        // snapshot.
+        validate_or_extend(tc);
       }
       manager_->on_open(tc, *me);
       return fresh->new_version;

@@ -152,8 +152,7 @@ class ThreadCtx {
   unsigned slot_;
   ebr::Handle ebr_;
   Xoshiro256 rng_;
-  /// Slab pool for TxDesc/Locator/clone blocks (null when
-  /// RuntimeConfig::pooling is off → per-object global allocations).
+  /// Slab pool for TxDesc/Locator/clone blocks.
   util::Pool* pool_ = nullptr;
   /// Set once by detach_thread; makes a second detach a safe no-op.
   bool detached_ = false;
@@ -173,22 +172,6 @@ class ThreadCtx {
   std::uint64_t snapshot_clock_ = 0;
   /// Acquired at least one object this attempt → bump the clock on commit.
   bool wrote_this_attempt_ = false;
-  // Deferred-clock snapshot state (DESIGN.md §11). A snapshot is the pair
-  // (snapshot_clock_, pending_at_snapshot_): commits with stamp <=
-  // snapshot_clock_ whose owner is not in the pending set are provably
-  // ordered before the snapshot instant and may be fast-accepted per open
-  // without touching the shared clock line.
-  /// False until an establishment completes without mid-scan interference;
-  /// while false every open takes the extension path.
-  bool snapshot_valid_ = false;
-  /// Descriptors announced in commit_pending_ at establishment time. Raw
-  /// identities, compared only (never dereferenced) — pool recycling can
-  /// only cause a spurious refusal, which is the safe direction.
-  std::vector<const TxDesc*> pending_at_snapshot_;
-  /// Establishment scratch (per-slot sequence pre-scan + candidate pending
-  /// set), kept allocated across attempts like the read-set vectors.
-  std::vector<std::uint64_t> pending_seq_scratch_;
-  std::vector<const TxDesc*> pending_scratch_;
   /// EWMA of the measured extension-pass cost, feeding the
   /// validation_saved_ns estimate for skipped passes.
   std::int64_t validate_pass_ewma_ns_ = 0;
@@ -258,8 +241,8 @@ struct RuntimeConfig {
   std::uint64_t seed = 0x5eed;  // base seed for per-thread RNGs
 
   /// Execution engine (DESIGN.md §12). kDstm: eager obstruction-free
-  /// per-object locators — the paper's substrate, with all the read-mode /
-  /// snapshot / deferred-clock knobs below. kOrec: lazy TL2-style engine
+  /// per-object locators — the paper's substrate, with the read-mode and
+  /// snapshot knobs below. kOrec: lazy TL2-style engine
   /// (redo-log write buffering over a striped orec table, commit-time lock
   /// acquisition, timestamp read-set validation against the same commit
   /// clock). The CM family, liveness ladder, metrics, trace and checker
@@ -305,13 +288,6 @@ struct RuntimeConfig {
   /// predictable null-pointer branch. See trace/recorder.hpp.
   trace::Recorder* recorder = nullptr;
 
-  /// Recycle TxDesc/Locator/version-clone blocks and EBR retire chunks
-  /// through per-thread slab pools (util/pool.hpp), making the steady-state
-  /// attempt allocation-free. Off = one global allocation per protocol
-  /// object (the pre-pooling behavior), kept selectable so figures can
-  /// report both sides of the ablation.
-  bool pooling = true;
-
   /// Invisible-read snapshot-extension fast path: a process-wide commit
   /// clock (bumped by every successful write-commit) lets open_read skip
   /// read-set validation while no write has committed since the attempt's
@@ -320,18 +296,6 @@ struct RuntimeConfig {
   /// Ignored in visible mode. Off = validate on every open (the pre-clock
   /// behavior), kept selectable so figures can A/B the pathology.
   bool snapshot_ext = true;
-
-  /// TL2-GV5-style deferred commit clock (see DESIGN.md §11): write-commits
-  /// stamp `clock+1` into their descriptor without incrementing the shared
-  /// line; only snapshot-extension passes that trip over a fresh stamp
-  /// advance the clock (one CAS per clock generation instead of one
-  /// fetch_add per write-commit). Opens fast-accept per object via the
-  /// owner's commit stamp and the attempt's commit-pending set, so the
-  /// fast path performs no shared-clock access at all. Off = PR 5's eager
-  /// bump-before-CAS, kept selectable for the A/B contention metric and
-  /// the checker's cross-mode identity tests. Only meaningful when
-  /// `snapshot_ext` is on in invisible mode.
-  bool deferred_clock = true;
 
   /// Optional deterministic-checker hook (non-owning; must outlive the
   /// Runtime). Null disables checking: every schedule point then costs one
@@ -354,12 +318,6 @@ struct RuntimeConfig {
     /// Invisible reads: skip the locator recheck after read-set validation
     /// in open_read, breaking the snapshot argument (opacity bug).
     bool skip_cas_recheck = false;
-    /// Deferred clock: fast-accept a committed stamp without checking the
-    /// commit-pending set, treating a writer that was still mid-commit at
-    /// snapshot establishment as if its switch preceded the snapshot
-    /// (opacity bug — the exact staleness window the pending rule closes;
-    /// see DESIGN.md §11).
-    bool stamp_no_pending = false;
     /// Orec backend: commit after lock acquisition WITHOUT the read-set
     /// timestamp validation, publishing writes derived from a snapshot that
     /// may already be stale (the classic TL2 validation invariant, broken
@@ -563,29 +521,6 @@ class Runtime {
   /// otherwise runs one full extension pass and advances the snapshot —
   /// unless a pending writer made the sampled clock value unclaimable.
   void validate_or_extend(ThreadCtx& tc);
-  /// Deferred-clock front end (DESIGN.md §11): decides per opened object
-  /// whether its resolved version's producing switch is provably ordered
-  /// before the attempt's snapshot (owner committed with stamp <=
-  /// snapshot_clock_ and not in the pending set → skip, no shared-line
-  /// access), otherwise raises the clock to cover the triggering stamp and
-  /// runs one extension pass + snapshot re-establishment. `owner`/`st` are
-  /// the replaced/loaded locator's owner and its status as resolved by the
-  /// caller; `st` is stable here because kActive owners were already
-  /// handled as conflicts.
-  void validate_or_extend_deferred(ThreadCtx& tc, TxDesc* owner, TxStatus st);
-  /// One extension pass under the deferred clock: raise the clock to
-  /// `trigger_stamp` if needed, re-establish the snapshot (sample + pending
-  /// scan with the interference rule), and run the full validation pass.
-  void extend_deferred(ThreadCtx& tc, std::uint64_t trigger_stamp);
-  /// Establishes the raw material for (snapshot_clock_, pending_at_snapshot_):
-  /// per-slot sequence pre-scan, clock sample, pending scan, sequence
-  /// re-scan. Returns true with the sampled clock in `clock_out` and the
-  /// mid-commit writers in tc.pending_scratch_ when the bracket was stable;
-  /// false on mid-scan interference (a commit retracted inside the bracket),
-  /// in which case the caller must leave the old snapshot untouched — it
-  /// stays sound for its own clock value. Does NOT validate the read set;
-  /// callers pair it with validate_pass.
-  bool snapshot_establish(ThreadCtx& tc, std::uint64_t& clock_out);
   /// validate_reads body: one full pass over invis_reads_ (aborts self on
   /// any mismatch), returning whether the whole set was free of pending
   /// writers (the extension pass may only advance the snapshot if so).
@@ -673,29 +608,12 @@ class Runtime {
   /// runs never touch the shared clock line. Forced off under the orec
   /// backend (which validates against orec words, not locators).
   bool snapshot_ext_on_ = false;
-  /// snapshot_ext_on_ && config_.deferred_clock, cached likewise.
-  bool deferred_clock_on_ = false;
   ebr::Domain ebr_;
-  /// Process-wide commit clock. Eager mode (PR 5): advanced by every
-  /// successful write-commit. Deferred mode (DESIGN.md §11): advanced only
-  /// by extension passes that trip over a fresh commit stamp. All
-  /// protocol-relevant accesses are seq_cst — the opacity argument leans on
-  /// the single total order over {bump, reader clock sample, commit-pending
-  /// announce/retract, locator install/load}.
+  /// Process-wide commit clock, advanced by every successful write-commit
+  /// before its status CAS (both engines). All protocol-relevant accesses
+  /// are seq_cst — the opacity argument leans on the single total order over
+  /// {bump, reader clock sample, locator install/load}.
   CacheAligned<std::atomic<std::uint64_t>> commit_clock_{};
-  /// Deferred-clock commit-pending slots, one cache line per thread. `desc`
-  /// is non-null from just before a write-commit reads its stamp until just
-  /// after its status CAS; `seq` counts completed retractions so a snapshot
-  /// establishment can detect a commit that started *and* finished inside
-  /// its scan bracket (the interference rule, DESIGN.md §11).
-  struct alignas(kCacheLine) CommitPending {
-    std::atomic<TxDesc*> desc{nullptr};
-    std::atomic<std::uint64_t> seq{0};
-  };
-  std::array<CommitPending, kMaxThreads> commit_pending_{};
-  /// One past the highest slot ever attached; bounds the pending scans.
-  /// Monotone, updated under attach_mutex_, read with acquire.
-  std::atomic<unsigned> attached_high_water_{0};
   std::array<CacheAligned<std::atomic<TxDesc*>>, kMaxThreads> current_tx_{};
   std::array<std::unique_ptr<ThreadCtx>, kMaxThreads> threads_{};
   /// Detached contexts, kept until Runtime destruction so references held by

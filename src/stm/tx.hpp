@@ -27,14 +27,6 @@ struct alignas(kCacheLine) TxDesc {
   /// Attempt number within the thread (diagnostics / tie-breaking).
   std::uint64_t serial = 0;
 
-  /// Deferred commit clock (DESIGN.md §11): the stamp `G+1` this write-
-  /// commit claims, written by the owner between its commit-pending
-  /// announcement and its status CAS. Readers load it only after observing
-  /// status == kCommitted (the CAS's release publishes the relaxed store),
-  /// so the value is final whenever it is consulted. Stays 0 for read-only
-  /// attempts and in eager-clock mode.
-  std::atomic<std::uint64_t> commit_stamp{0};
-
   /// Start of this attempt (steady-clock ns).
   std::int64_t begin_ns = 0;
   /// Start of the *first* attempt of this logical transaction; survives

@@ -114,10 +114,6 @@ Analyzer::Analyzer(std::vector<Event> events) : events_(std::move(events)) {
         ts.extension_reads += e.a0;
         break;
       }
-      case EventKind::kClockBump: {
-        ts.clock_bumps++;
-        break;
-      }
       default:
         break;  // kWindowStart/kFrameAdvance/kCiUpdate need no aggregation
     }
@@ -239,11 +235,10 @@ std::string Analyzer::summary() const {
     out += buf;
   }
 
-  std::uint64_t extensions = 0, extension_reads = 0, clock_bumps = 0;
+  std::uint64_t extensions = 0, extension_reads = 0;
   for (const auto& [slot, ts] : threads_) {
     extensions += ts.extensions;
     extension_reads += ts.extension_reads;
-    clock_bumps += ts.clock_bumps;
   }
   if (extensions > 0) {
     std::snprintf(buf, sizeof(buf),
@@ -251,15 +246,6 @@ std::string Analyzer::summary() const {
                   " read-set entries (%.2f entries/pass)\n",
                   extensions, extension_reads,
                   static_cast<double>(extension_reads) / static_cast<double>(extensions));
-    out += buf;
-  }
-  if (clock_bumps > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "clock bumps: %" PRIu64
-                  " shared-line writes (%.1f%% of extension passes)\n",
-                  clock_bumps,
-                  100.0 * static_cast<double>(clock_bumps) /
-                      static_cast<double>(extensions > 0 ? extensions : 1));
     out += buf;
   }
 

@@ -56,11 +56,6 @@ struct ThreadStats {
   /// the commit-clock fast path did not skip.
   std::uint64_t extensions = 0;
   std::uint64_t extension_reads = 0;
-  /// Deferred-clock shared-line writes (kClockBump events): how often this
-  /// thread actually dirtied the process-wide commit-clock line. Compare
-  /// against `extensions` to attribute clock-line stalls — every bump is an
-  /// extension, but a bump invalidates every other core's cached clock.
-  std::uint64_t clock_bumps = 0;
 };
 
 /// Window-run occupancy of one frame.

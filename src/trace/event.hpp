@@ -73,12 +73,6 @@ enum class EventKind : std::uint8_t {
   kDequeue,         // a0 = queue index, a1 = queue wait ns (submit→dequeue);
                     // detail bit0 = 1 when the request was shed as expired
 
-  kClockBump,       // deferred-clock shared-line write (extension-path CAS
-                    // advance; see DESIGN.md §11): a0 = trigger stamp the
-                    // clock was raised to cover. Absent in eager mode, where
-                    // every write-commit bumps the line and recording each
-                    // would double trace volume for no attribution value.
-
   // Requester-waits arbitration (src/stm/park.hpp; DESIGN.md §13), recorded
   // by stm::Runtime. Absent in abort mode.
   kPark,            // real futex-style park: enemy/a1 = enemy slot/serial,
@@ -88,7 +82,7 @@ enum class EventKind : std::uint8_t {
                     // descriptor the waiters were parked on, a0 = waiter count
 };
 
-inline constexpr std::uint8_t kNumEventKinds = 22;
+inline constexpr std::uint8_t kNumEventKinds = 21;
 
 const char* kind_name(EventKind kind) noexcept;
 

@@ -78,7 +78,6 @@ const char* kind_name(EventKind kind) noexcept {
     case EventKind::kSnapshotExtend: return "snapshot_extend";
     case EventKind::kEnqueue: return "enqueue";
     case EventKind::kDequeue: return "dequeue";
-    case EventKind::kClockBump: return "clock_bump";
     case EventKind::kPark: return "park";
     case EventKind::kUnpark: return "unpark";
   }

@@ -7,13 +7,17 @@
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 namespace wstm::trace {
 
 namespace {
 
 constexpr char kMagic[8] = {'W', 'S', 'T', 'M', 'T', 'R', 'C', '1'};
-constexpr std::uint32_t kVersion = 1;
+/// Bumped whenever EventKind numbering changes. Version 1 files number the
+/// kinds after kDequeue differently (they carry a since-removed kind), so
+/// they are refused rather than decoded with shifted kinds.
+constexpr std::uint32_t kVersion = 2;
 
 struct BinaryHeader {
   char magic[8];
@@ -181,7 +185,9 @@ std::vector<Event> read_binary(std::istream& in) {
     throw std::runtime_error("trace: not a wstm binary trace (bad magic)");
   }
   if (h.version != kVersion || h.event_size != sizeof(Event)) {
-    throw std::runtime_error("trace: unsupported trace version/layout");
+    throw std::runtime_error("trace: unsupported trace version " + std::to_string(h.version) +
+                             " or layout (this build reads version " +
+                             std::to_string(kVersion) + "); re-record it");
   }
   std::vector<Event> events(h.count);
   if (h.count != 0) {

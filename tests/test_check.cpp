@@ -169,6 +169,28 @@ TEST(Schedule, OldFilesWithoutNewKeysStillLoad) {
   EXPECT_EQ(s.decisions.size(), 1u);
 }
 
+TEST(Schedule, DeferredClockKeyIsRefusedOnlyWhenOn) {
+  // The deferred commit clock is gone and every schedule replays under the
+  // eager clock. Files without the key or with 0 ran that clock and load;
+  // a file recorded with it on had an extra commit schedule point and would
+  // silently diverge, so it must fail loudly. New files omit the key.
+  const std::string head = "wstm-schedule v1\nstructure list\ncm Polka\nthreads 2\n";
+  EXPECT_EQ(check::schedule_from_text(head + "g 0 B p\n").decisions.size(), 1u);
+  EXPECT_EQ(check::schedule_from_text(head + "deferred_clock 0\ng 0 B p\n").decisions.size(),
+            1u);
+  try {
+    check::schedule_from_text(head + "deferred_clock 1\ng 0 B p\n");
+    FAIL() << "a deferred-clock schedule was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("removed deferred commit clock"), std::string::npos) << what;
+    EXPECT_NE(what.find("re-record"), std::string::npos) << what;
+  }
+  Schedule s;
+  s.config.visible_reads = false;
+  EXPECT_EQ(check::to_text(s).find("deferred_clock"), std::string::npos);
+}
+
 TEST(Schedule, RejectsMalformedText) {
   EXPECT_THROW(check::schedule_from_text("not a schedule"), std::runtime_error);
   EXPECT_THROW(check::schedule_from_text("wstm-schedule v1\ng 0 Z p\n"), std::runtime_error);

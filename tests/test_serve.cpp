@@ -157,6 +157,56 @@ TEST(ServeQueue, CloseRacingParkedConsumerReturnsPromptly) {
       << "close() left a parked waiter sleeping out its timeout";
 }
 
+TEST(ServeQueue, PushRacingConsumerParkIsNeverLost) {
+  // Regression for a lost wake-up in pop_wait: a push plus its notify_one
+  // could land between the consumer's unlocked re-check and its taking
+  // wait_mutex_, so the notify reached nobody and the consumer slept out its
+  // whole timeout with an item in the queue. The fix re-checks, under the
+  // mutex, whether the head cell is already published. A second window: the
+  // producer's release store of the item could pass its read of the waiter
+  // count, so both sides missed each other; a fence in wake_consumer closes
+  // it. Race one push against a consumer entering pop_wait, sweeping the
+  // push across the consumer's entry path; every pop must return far below
+  // the 1 s timeout.
+  constexpr int kIters = 4000;
+  constexpr std::int64_t kPopTimeoutNs = 1'000'000'000;
+  constexpr std::int64_t kBoundNs = 200'000'000;
+  for (int iter = 0; iter < kIters; ++iter) {
+    BoundedQueue q(4);
+    // Raise the depth high-water mark first: the racing push then skips
+    // note_depth's CAS, a full barrier that would hide the second window.
+    TxRequest warm;
+    ASSERT_EQ(q.try_push(req_with_key(0)), BoundedQueue::PushResult::kOk);
+    ASSERT_TRUE(q.try_pop(&warm));
+    std::atomic<bool> ready{false};
+    std::atomic<bool> go{false};
+    bool got = false;
+    std::int64_t popped_at = 0;
+    std::thread consumer([&] {
+      ready.store(true, std::memory_order_release);
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      TxRequest out;
+      got = q.pop_wait(&out, kPopTimeoutNs);
+      popped_at = now_ns();
+    });
+    while (!ready.load(std::memory_order_acquire)) {
+    }
+    go.store(true, std::memory_order_release);
+    // Stagger the push by 0..63 spins so successive iterations land it at
+    // different points of the consumer's park sequence.
+    std::atomic<int> spins{0};
+    while (spins.fetch_add(1, std::memory_order_relaxed) < iter % 64) {
+    }
+    ASSERT_EQ(q.try_push(req_with_key(1)), BoundedQueue::PushResult::kOk);
+    const std::int64_t pushed_at = now_ns();
+    consumer.join();
+    ASSERT_TRUE(got) << "iteration " << iter;
+    ASSERT_LT(popped_at - pushed_at, kBoundNs)
+        << "iteration " << iter << ": the consumer slept through the push";
+  }
+}
+
 TEST(ServeQueue, MpmcStressKeepsEveryItemExactlyOnce) {
   constexpr unsigned kProducers = 4;
   constexpr unsigned kConsumers = 4;
@@ -178,9 +228,17 @@ TEST(ServeQueue, MpmcStressKeepsEveryItemExactlyOnce) {
   for (unsigned c = 0; c < kConsumers; ++c) {
     threads.emplace_back([&] {
       TxRequest out;
-      while (q.pop_wait(&out, std::int64_t{2'000'000})) {
-        popped_sum.fetch_add(out.key, std::memory_order_relaxed);
-        popped_count.fetch_add(1, std::memory_order_relaxed);
+      // Exit only once the queue is closed and a pop comes back empty: a
+      // timeout alone may just mean the producers were preempted, and
+      // leaving then would strand them on a full queue.
+      for (;;) {
+        const bool closed = q.closed();  // sampled before the pop
+        if (q.pop_wait(&out, std::int64_t{2'000'000})) {
+          popped_sum.fetch_add(out.key, std::memory_order_relaxed);
+          popped_count.fetch_add(1, std::memory_order_relaxed);
+        } else if (closed) {
+          break;  // every push preceded close(), so the queue is drained
+        }
       }
     });
   }
@@ -312,6 +370,8 @@ TEST(ServePolicy, WindowFrameRotatesWithTheFrameClock) {
 struct CounterCtx {
   stm::TObject<long>* cell = nullptr;
   std::atomic<std::uint64_t> done_calls{0};
+  /// Runtime whose shutdown gated_increment_fn waits for.
+  const Runtime* gate = nullptr;
 };
 
 std::uint64_t increment_fn(Tx& tx, void* ctx, std::uint64_t) {
@@ -319,6 +379,14 @@ std::uint64_t increment_fn(Tx& tx, void* ctx, std::uint64_t) {
   long& v = *c->cell->open_write(tx);
   v += 1;
   return static_cast<std::uint64_t>(v);
+}
+
+// increment_fn that first waits until ctx->gate is stopping, so no request
+// can commit before Runtime::shutdown() has begun.
+std::uint64_t gated_increment_fn(Tx& tx, void* ctx, std::uint64_t arg) {
+  const Runtime& rt = *static_cast<CounterCtx*>(ctx)->gate;
+  while (!rt.stopping()) std::this_thread::yield();
+  return increment_fn(tx, ctx, arg);
 }
 
 void count_done(void* ctx, std::uint64_t, std::uint64_t) {
@@ -398,17 +466,19 @@ TEST(ServeServer, RuntimeShutdownShedsBacklogAsCancelled) {
   params.threads = 2;
   Runtime rt(cm::make_manager("Polka", params));
   stm::TObject<long> cell(0L);
-  CounterCtx ctx{&cell, {}};
+  CounterCtx ctx{&cell, {}, &rt};
 
   serve::ServerConfig cfg;
   cfg.n_workers = 2;
   cfg.queue_capacity = 4096;
   TxServer server(rt, cfg);
-  // Queue a large backlog before any worker runs.
+  // Queue a large backlog before any worker runs. Every body waits for the
+  // shutdown to begin, so each worker holds at most one request when it
+  // does and the rest of the backlog is shed, whatever the timing.
   constexpr std::uint64_t kRequests = 3000;
   for (std::uint64_t i = 0; i < kRequests; ++i) {
     TxRequest r;
-    r.fn = increment_fn;
+    r.fn = gated_increment_fn;
     r.done = count_done;
     r.ctx = &ctx;
     ASSERT_EQ(server.submit(r), SubmitResult::kAccepted);

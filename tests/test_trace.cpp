@@ -118,6 +118,23 @@ TEST(Sink, BinaryRejectsGarbageAndTruncation) {
   }
 }
 
+TEST(Sink, BinaryRefusesVersionOneEventNumbering) {
+  // Version 1 numbered the kinds after kDequeue one higher than today, so a
+  // version-1 file must be refused, never decoded with shifted kinds.
+  std::stringstream buf;
+  write_binary({mk(1, 0, EventKind::kPark, 1)}, buf);
+  std::string bytes = buf.str();
+  const std::uint32_t v1 = 1;
+  std::memcpy(bytes.data() + 8, &v1, sizeof(v1));  // header: magic[8], version
+  std::stringstream old(bytes);
+  try {
+    read_binary(old);
+    FAIL() << "version-1 trace was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("re-record"), std::string::npos) << e.what();
+  }
+}
+
 TEST(Sink, PathSuffixInsertsBeforeExtension) {
   EXPECT_EQ(path_with_suffix("out.json", "-list"), "out-list.json");
   EXPECT_EQ(path_with_suffix("dir.d/out.bin", "-r2"), "dir.d/out-r2.bin");

@@ -49,10 +49,6 @@ void add_config_flags(wstm::Cli& cli, const CheckConfig& d) {
                "commit-clock snapshot-extension fast path for invisible reads "
                "(off = validate the read set on every open)",
                d.snapshot_ext);
-  cli.add_flag("deferred-clock",
-               "defer commit-clock bumps to snapshot-extension time (GV5-style; "
-               "only effective with --snapshot-ext and invisible reads)",
-               d.deferred_clock);
   cli.add_flag("op-mix", "op mix: default|insert-heavy", d.op_mix);
   cli.add_flag("update-percent", "percent of single-key ops that write",
                static_cast<std::int64_t>(d.update_percent));
@@ -80,7 +76,7 @@ void add_config_flags(wstm::Cli& cli, const CheckConfig& d) {
                d.liveness);
   cli.add_flag("bug",
                "seeded protocol bug: none|blind-commit|skip-reader-abort|"
-               "skip-cas-recheck|stamp-no-pending|skip-read-validation (orec)|"
+               "skip-cas-recheck|skip-read-validation (orec)|"
                "park-lost-wakeup (arbitration=wait)",
                d.bug);
 }
@@ -96,7 +92,6 @@ CheckConfig config_from_cli(const wstm::Cli& cli) {
   c.arbitration = cli.get_string("arbitration");
   c.visible_reads = cli.get_bool("visible-reads");
   c.snapshot_ext = cli.get_bool("snapshot-ext");
-  c.deferred_clock = cli.get_bool("deferred-clock");
   c.op_mix = cli.get_string("op-mix");
   c.update_percent = static_cast<std::uint32_t>(cli.get_int("update-percent"));
   c.pair_percent = static_cast<std::uint32_t>(cli.get_int("pair-percent"));
