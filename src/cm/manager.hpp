@@ -74,8 +74,8 @@ class ContentionManager {
 
   /// Liveness-aware arbitration (src/resilience/): the escalation ladder's
   /// priority boost overrides any manager policy — a strictly higher boost
-  /// wins the conflict outright, so every manager (all 11 classic CMs and
-  /// the 5 window variants) honors escalation uniformly. Equal boosts
+  /// wins the conflict outright, so every manager (the 5 classic CMs and
+  /// the 6 window variants) honors escalation uniformly. Equal boosts
   /// (including the common 0 vs 0) fall through to the manager's resolve().
   /// Called by the Runtime only when the liveness layer is enabled.
   stm::Resolution resolve_with_boost(stm::ThreadCtx& self, stm::TxDesc& tx, stm::TxDesc& enemy,
@@ -102,7 +102,7 @@ class ContentionManager {
     (void)self, (void)tx, (void)is_retry;
   }
 
-  /// An object was opened successfully (Karma-style priority accrual).
+  /// An object was opened successfully (Polka's karma accrual).
   virtual void on_open(stm::ThreadCtx& self, stm::TxDesc& tx) { (void)self, (void)tx; }
 
   virtual void on_commit(stm::ThreadCtx& self, stm::TxDesc& tx) { (void)self, (void)tx; }

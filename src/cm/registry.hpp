@@ -20,8 +20,6 @@ struct Params {
   double frame_log_exponent = 1.0;
   double initial_c = 0.0;  // 0 = variant default
   double ci_alpha = 0.75;
-  /// ATS: serialize while contention intensity exceeds this.
-  double ats_ci_threshold = 0.5;
   /// Requester-waits arbitration for the window family (DESIGN.md §13);
   /// mirrors RuntimeConfig::arbitration == kWait. Classic managers take the
   /// mode from their attached WaitHooks instead.

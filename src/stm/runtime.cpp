@@ -494,28 +494,15 @@ void Runtime::cleanup_attempt(ThreadCtx& tc, bool committed) {
     tc.metrics_.aborts++;
     tc.metrics_.wasted_ns += elapsed;
     if (trace::Recorder* rec = config_.recorder) {
-      // Best-effort killer attribution from a manager-registered aborter
-      // (Steal-On-Abort); the offline analyzer joins the winner's conflict
-      // events for the general case.
-      std::uint32_t killer = trace::kNoEnemy;
-      std::uint64_t killer_serial = 0;
-      if (const TxDesc* by = desc->aborted_by.load(std::memory_order_acquire)) {
-        killer = by->thread_slot;
-        killer_serial = by->serial;
-      }
+      // The offline analyzer attributes the killer by joining the winner's
+      // conflict events.
       rec->record(tc.slot_, trace::EventKind::kAbort, desc->serial,
-                  tc.injected_abort_ ? 1 : 0, killer,
-                  static_cast<std::uint64_t>(elapsed), killer_serial);
+                  tc.injected_abort_ ? 1 : 0, trace::kNoEnemy,
+                  static_cast<std::uint64_t>(elapsed));
     }
     manager_->on_abort(tc, *desc);
   }
   if (tc.waited_this_attempt_) tc.metrics_.waits++;
-
-  // Release a leftover aborter registration the manager did not claim
-  // (e.g. the registering enemy lost the kill race and we committed).
-  if (TxDesc* by = desc->aborted_by.exchange(nullptr, std::memory_order_acq_rel)) {
-    by->release();
-  }
 
   // Escalation bookkeeping for the logical transaction (cheap enough to
   // keep unconditional; only the liveness layer reads it).

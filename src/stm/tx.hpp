@@ -35,7 +35,7 @@ struct alignas(kCacheLine) TxDesc {
 
   // --- contention-manager scratch, readable by enemies ---
 
-  /// Karma/Polka priority: number of objects opened so far (all attempts).
+  /// Polka's karma priority: number of objects opened so far (all attempts).
   std::atomic<std::uint32_t> karma{0};
   /// Greedy's "waiting" flag: set while the transaction is blocked inside a
   /// contention-manager wait; a waiting transaction may be killed by anyone.
@@ -58,12 +58,6 @@ struct alignas(kCacheLine) TxDesc {
   /// cleared by the owner before any abort of its own finalizes (abort_self
   /// and finish_attempt_abort both demote before their try_abort).
   std::atomic<bool> irrevocable{false};
-
-  /// Identity of the transaction that aborted this one, registered by
-  /// scheduler-style managers (Steal-On-Abort) before the kill; carries one
-  /// reference, released by the victim's cleanup (runtime) or its manager's
-  /// on_abort, whichever claims it first via exchange.
-  std::atomic<TxDesc*> aborted_by{nullptr};
 
   // --- lifetime ---
   std::atomic<std::int32_t> refs{1};

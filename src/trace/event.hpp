@@ -28,8 +28,8 @@ inline constexpr std::uint32_t kNoEnemy = 0xffffffffu;
 enum class EventKind : std::uint8_t {
   kBegin = 0,       // detail bit0 = is_retry
   kCommit,          // a0 = attempt elapsed ns, a1 = response ns (since first begin)
-  kAbort,           // a0 = attempt elapsed ns; enemy/a1 = registered killer slot/serial
-                    // (kNoEnemy unless a manager registered aborted_by);
+  kAbort,           // a0 = attempt elapsed ns; enemy = kNoEnemy (the analyzer
+                    // joins the killer from the winner's kConflict event);
                     // detail bit0 = 1 when the deterministic checker's fault
                     // injector forced this abort (src/check/)
   kConflict,        // detail = pack_conflict(kind, resolution); enemy/a0 = enemy slot/serial

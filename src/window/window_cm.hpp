@@ -31,6 +31,7 @@
 #include <string>
 
 #include "cm/manager.hpp"
+#include "stm/runtime.hpp"
 #include "util/cacheline.hpp"
 #include "window/ci_estimator.hpp"
 #include "window/controller.hpp"
@@ -159,7 +160,9 @@ class WindowCM final : public cm::ContentionManager {
   /// commit so cross-thread readers never touch PerThread state.
   std::int64_t epoch_ns_ = 0;
   std::atomic<double> c_beacon_{0.0};
-  std::array<CacheAligned<PerThread>, 64> state_{};
+  /// Indexed by ThreadCtx::slot(), so it must cover every Runtime slot.
+  std::array<CacheAligned<PerThread>, stm::Runtime::kMaxThreads> state_{};
+  static_assert(std::tuple_size_v<decltype(state_)> >= stm::Runtime::kMaxThreads);
 };
 
 /// Factory for the five published variants (and "Adaptive-Dynamic" as an

@@ -4,9 +4,11 @@
 
 #include <atomic>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "cm/classic.hpp"
-#include "cm/schedulers.hpp"
 #include "cm/registry.hpp"
 #include "stm/runtime.hpp"
 #include "trace/recorder.hpp"
@@ -210,88 +212,6 @@ TEST_F(CmTest, PolkaClampsBackoffTraceWhenClockRewinds) {
   EXPECT_TRUE(found) << "the wait was never traced";
 }
 
-TEST_F(CmTest, KarmaWaitCountsTowardPriority) {
-  Karma cm;
-  TxDesc me, enemy;
-  init_desc(me, 0, 10);
-  init_desc(enemy, 1, 20);
-  me.karma.store(1);
-  enemy.karma.store(3);
-  // attempts accumulate until mine + attempts >= theirs, then kill.
-  EXPECT_EQ(cm.resolve(*tc_, me, enemy, ConflictKind::kWriteWrite), Resolution::kAbortEnemy);
-}
-
-TEST_F(CmTest, PoliteBacksOffThenAbortsEnemy) {
-  Polite cm;
-  TxDesc me, enemy;
-  init_desc(me, 0, 10);
-  init_desc(enemy, 1, 20);
-  EXPECT_EQ(cm.resolve(*tc_, me, enemy, ConflictKind::kWriteWrite), Resolution::kAbortEnemy);
-}
-
-TEST_F(CmTest, PoliteRetriesIfEnemyFinished) {
-  Polite cm;
-  TxDesc me, enemy;
-  init_desc(me, 0, 10);
-  init_desc(enemy, 1, 20);
-  enemy.status.store(TxStatus::kCommitted);
-  EXPECT_EQ(cm.resolve(*tc_, me, enemy, ConflictKind::kWriteWrite), Resolution::kRetry);
-}
-
-TEST_F(CmTest, TimestampOlderKillsImmediately) {
-  Timestamp cm;
-  TxDesc old_tx, young_tx;
-  init_desc(old_tx, 0, 10);
-  init_desc(young_tx, 1, 20);
-  EXPECT_EQ(cm.resolve(*tc_, old_tx, young_tx, ConflictKind::kWriteWrite),
-            Resolution::kAbortEnemy);
-}
-
-TEST_F(CmTest, KindergartenDefersOnceThenTakesItsTurn) {
-  Kindergarten cm;
-  TxDesc me, enemy;
-  init_desc(me, tc_->slot(), 10);
-  init_desc(enemy, 1, 20);
-  cm.on_begin(*tc_, me, /*is_retry=*/false);
-  // First meeting: back off and let the enemy run.
-  EXPECT_EQ(cm.resolve(*tc_, me, enemy, ConflictKind::kWriteWrite), Resolution::kRetry);
-  // Second meeting with the same thread: our turn.
-  EXPECT_EQ(cm.resolve(*tc_, me, enemy, ConflictKind::kWriteWrite), Resolution::kAbortEnemy);
-}
-
-TEST_F(CmTest, KindergartenForgetsOnFreshTransaction) {
-  Kindergarten cm;
-  TxDesc me, enemy;
-  init_desc(me, tc_->slot(), 10);
-  init_desc(enemy, 1, 20);
-  cm.on_begin(*tc_, me, false);
-  EXPECT_EQ(cm.resolve(*tc_, me, enemy, ConflictKind::kWriteWrite), Resolution::kRetry);
-  cm.on_begin(*tc_, me, false);  // new logical transaction: list reset
-  EXPECT_EQ(cm.resolve(*tc_, me, enemy, ConflictKind::kWriteWrite), Resolution::kRetry);
-}
-
-TEST_F(CmTest, EruptionHigherPressureWins) {
-  Eruption cm;
-  TxDesc me, enemy;
-  init_desc(me, tc_->slot(), 10);
-  init_desc(enemy, 1, 20);
-  me.karma.store(5);
-  enemy.karma.store(2);
-  EXPECT_EQ(cm.resolve(*tc_, me, enemy, ConflictKind::kWriteWrite), Resolution::kAbortEnemy);
-}
-
-TEST_F(CmTest, EruptionTransfersPressureWhileBlocked) {
-  Eruption cm;
-  TxDesc me, enemy;
-  init_desc(me, tc_->slot(), 10);
-  init_desc(enemy, 1, 20);
-  me.karma.store(3);
-  enemy.karma.store(7);
-  EXPECT_EQ(cm.resolve(*tc_, me, enemy, ConflictKind::kWriteWrite), Resolution::kRetry);
-  // Our pressure (3 + 1) moved onto the blocker.
-  EXPECT_EQ(enemy.karma.load(), 11u);
-}
-
 TEST_F(CmTest, RandomizedRoundsLowerDrawWins) {
   RandomizedRounds cm(8);
   TxDesc me, enemy;
@@ -326,66 +246,14 @@ TEST_F(CmTest, RandomizedRoundsDrawsInRange) {
   }
 }
 
-TEST_F(CmTest, AtsSerializesAboveThreshold) {
-  Ats cm(/*ci_threshold=*/0.5, /*alpha=*/0.0);  // alpha 0: CI = last outcome
-  TxDesc tx;
-  init_desc(tx, tc_->slot(), 10);
-  // Low CI: no serialization.
-  cm.on_begin(*tc_, tx, false);
-  cm.on_commit(*tc_, tx);
-  EXPECT_EQ(cm.serialized_begins(), 0u);
-  // An abort pushes CI to 1 > threshold: the next begin takes the lane.
-  cm.on_begin(*tc_, tx, false);
-  cm.on_abort(*tc_, tx);
-  EXPECT_GT(cm.ci_of(tc_->slot()), 0.5);
-  cm.on_begin(*tc_, tx, true);
-  EXPECT_EQ(cm.serialized_begins(), 1u);
-  cm.on_commit(*tc_, tx);  // releases the lane
-  EXPECT_LT(cm.ci_of(tc_->slot()), 0.5);
-}
-
-TEST_F(CmTest, AtsResolvesLikeTimestamp) {
-  Ats cm;
-  TxDesc old_tx, young_tx;
-  init_desc(old_tx, 0, 10);
-  init_desc(young_tx, 1, 20);
-  EXPECT_EQ(cm.resolve(*tc_, old_tx, young_tx, ConflictKind::kWriteWrite),
-            Resolution::kAbortEnemy);
-  young_tx.status.store(TxStatus::kAborted);
-  EXPECT_EQ(cm.resolve(*tc_, young_tx, old_tx, ConflictKind::kWriteWrite),
-            Resolution::kAbortSelf);
-}
-
-TEST_F(CmTest, StealOnAbortRegistersTheAborter) {
-  StealOnAbort cm;
-  TxDesc me, enemy;
-  init_desc(me, tc_->slot(), 10);
-  init_desc(enemy, 1, 20);
-  const auto refs_before = me.refs.load();
-  EXPECT_EQ(cm.resolve(*tc_, me, enemy, ConflictKind::kWriteWrite), Resolution::kAbortEnemy);
-  EXPECT_EQ(enemy.aborted_by.load(), &me);
-  EXPECT_EQ(me.refs.load(), refs_before + 1);
-  // The victim's cleanup path releases the registration.
-  TxDesc* by = enemy.aborted_by.exchange(nullptr);
-  by->release();
-  EXPECT_EQ(me.refs.load(), refs_before);
-}
-
-TEST_F(CmTest, StealOnAbortVictimWaitsForFinishedAborter) {
-  StealOnAbort cm;
-  TxDesc me, aborter;
-  init_desc(me, tc_->slot(), 10);
-  init_desc(aborter, 1, 5);
-  aborter.add_ref();
-  me.aborted_by.store(&aborter);
-  aborter.status.store(TxStatus::kCommitted);  // already done: no blocking
-  cm.on_abort(*tc_, me);     // claims the registration
-  cm.on_begin(*tc_, me, true);  // waits (returns immediately) and releases
-  EXPECT_EQ(me.aborted_by.load(), nullptr);
-  EXPECT_EQ(aborter.refs.load(), 1);
-}
-
 TEST(CmRegistry, CreatesEveryAdvertisedManager) {
+  // The paper's baselines plus Aggressive and RandomizedRounds, after the
+  // six window variants.
+  const std::vector<std::string> classic = {"Polka", "Greedy", "Priority", "Aggressive",
+                                            "RandomizedRounds"};
+  EXPECT_EQ(classic_manager_names(), classic);
+  EXPECT_EQ(manager_names().size(), window_manager_names().size() + classic.size());
+  EXPECT_EQ(window_manager_names().size(), 6u);
   Params params;
   params.threads = 4;
   for (const auto& name : manager_names()) {
@@ -397,6 +265,13 @@ TEST(CmRegistry, CreatesEveryAdvertisedManager) {
 
 TEST(CmRegistry, RejectsUnknownName) {
   EXPECT_THROW(make_manager("NoSuchManager", Params{}), std::invalid_argument);
+  // A name dropped from the registry fails with the accepted names listed.
+  try {
+    make_manager("Karma", Params{});
+    FAIL() << "Karma was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("Polka"), std::string::npos) << e.what();
+  }
 }
 
 TEST(CmRegistry, ClassifiesWindowManagers) {

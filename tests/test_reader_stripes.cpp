@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -54,13 +55,18 @@ TEST(ReaderStripes, AnnounceClearAllSlotsIndependently) {
 // More than 64 threads hold visible-read transactions on ONE object at the
 // same instant — beyond the old bitmap's ceiling. Each parks inside its
 // transaction until every thread has its read announced, then commits.
-TEST(ReaderStripes, MoreThanSixtyFourSimultaneousVisibleReaders) {
+// Parameterized over managers with per-slot state (Polka's saved karma, the
+// window family's per-thread frames), which must cover slots 64 and up.
+class ReaderStripesByCm : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ReaderStripesByCm, MoreThanSixtyFourSimultaneousVisibleReaders) {
   constexpr unsigned kReaders = 80;
   static_assert(kReaders > 64 && kReaders <= Runtime::kMaxThreads);
+  // M stays at 64, the window family's cap; slots 64 and up still attach.
   cm::Params params;
-  params.threads = kReaders;
+  params.threads = 64;
   RuntimeConfig cfg;  // visible reads (default)
-  auto rt = std::make_unique<Runtime>(cm::make_manager("Polite", params), cfg);
+  auto rt = std::make_unique<Runtime>(cm::make_manager(GetParam(), params), cfg);
   TObject<long> obj(42);
   std::atomic<unsigned> inside{0};
   std::vector<std::thread> readers;
@@ -84,6 +90,16 @@ TEST(ReaderStripes, MoreThanSixtyFourSimultaneousVisibleReaders) {
   EXPECT_EQ(rt->total_metrics().commits, kReaders);
   EXPECT_EQ(rt->total_metrics().aborts, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(ReaderStripes, ReaderStripesByCm,
+                         ::testing::Values("Polka", "Online-Dynamic"),
+                         [](const auto& info) {
+                           std::string n = info.param;
+                           for (char& c : n) {
+                             if (c == '-') c = '_';
+                           }
+                           return n;
+                         });
 
 // A writer must resolve readers across ALL stripes: park more than 64
 // readers inside announced read transactions on one object, then commit a
