@@ -63,10 +63,12 @@ stm::RuntimeConfig::DebugFaults parse_bug(const std::string& bug) {
     b.orec_skip_validation = true;  // orec backend only; a no-op under dstm
   } else if (bug == "park-lost-wakeup") {
     b.park_lost_wakeup = true;  // meaningful only with arbitration=wait
+  } else if (bug == "stale-reader-record") {
+    b.stale_reader_record = true;  // dstm backend, visible reads only
   } else {
     throw std::invalid_argument("unknown seeded bug \"" + bug +
                                 "\" (none|blind-commit|skip-reader-abort|skip-cas-recheck|"
-                                "skip-read-validation|park-lost-wakeup)");
+                                "skip-read-validation|park-lost-wakeup|stale-reader-record)");
   }
   return b;
 }

@@ -106,7 +106,8 @@ struct CheckConfig {
   FaultOptions faults;
   /// Seeded protocol bug to arm (stm::RuntimeConfig::DebugFaults):
   /// none | blind-commit | skip-reader-abort | skip-cas-recheck |
-  /// skip-read-validation (orec backend) | park-lost-wakeup.
+  /// skip-read-validation (orec backend) | park-lost-wakeup |
+  /// stale-reader-record.
   std::string bug = "none";
 
   std::uint64_t effective_max_steps() const noexcept {

@@ -17,6 +17,19 @@ namespace {
 /// Releases the slot reference held by the current_tx_ published pointer;
 /// deferred through EBR so enemies dereferencing the pointer stay safe.
 void release_desc_ref(void* desc_ptr) { static_cast<TxDesc*>(desc_ptr)->release(); }
+
+/// Seeded-bug helper (stale_reader_record): the readers announced on `live`
+/// as of this call, copied into a per-thread scratch record; null when the
+/// object has no record yet.
+const ReaderStripes* copy_of_readers(const ReaderStripes* live) {
+  if (live == nullptr) return nullptr;
+  static thread_local ReaderStripes copy;
+  for (unsigned slot = 0; slot < ReaderStripes::kCapacity; ++slot) {
+    if (copy.announced(slot)) copy.clear(slot);
+    if (live->announced(slot)) copy.announce(slot);
+  }
+  return &copy;
+}
 }  // namespace
 
 /// The DSTM locator engine behind the Backend interface (DESIGN.md §12):
@@ -45,8 +58,10 @@ class DstmBackend final : public Backend {
   bool commit(ThreadCtx& tc) override { return rt_.dstm_commit(tc); }
 
   void end(ThreadCtx& tc, bool /*committed*/) override {
+    // Every read-set object has its record: this thread announced on it.
     for (TObjectBase* obj : tc.read_set_) {
-      tc.metrics_.reader_stripe_retries += obj->readers_.clear(tc.slot_);
+      tc.metrics_.reader_stripe_retries +=
+          obj->readers_.load(std::memory_order_relaxed)->clear(tc.slot_);
     }
     tc.read_set_.clear();
     tc.invis_reads_.clear();
@@ -752,9 +767,10 @@ const void* Runtime::dstm_open_read(ThreadCtx& tc, TObjectBase& obj) {
   // Announce visibility first (flag protocol: the stripe bit-set must
   // precede the locator load so an acquiring writer either sees our bit in
   // its stripe scan or we see its locator — both orders get the conflict
-  // resolved).
-  if (!obj.readers_.announced(tc.slot_)) {
-    tc.metrics_.reader_stripe_retries += obj.readers_.announce(tc.slot_);
+  // resolved). The first visible read of the object installs its record.
+  ReaderStripes& readers = obj.reader_record(tc.pool_);
+  if (!readers.announced(tc.slot_)) {
+    tc.metrics_.reader_stripe_retries += readers.announce(tc.slot_);
     tc.read_set_.push_back(&obj);
   }
 
@@ -1027,6 +1043,13 @@ void* Runtime::dstm_open_write(ThreadCtx& tc, TObjectBase& obj) {
         Locator{me, current, clone, nullptr, obj.destroy_,
                 snapshot_ext_on_ ? commit_clock_->load(std::memory_order_relaxed) : 0};
     me->add_ref();
+    // SEEDED BUG (stale_reader_record): the reader record read before the
+    // acquiring CAS misses every reader that announces, or installs the
+    // record, between this sample and the CAS.
+    const ReaderStripes* const early_readers =
+        config_.bugs.stale_reader_record
+            ? copy_of_readers(obj.readers_.load(std::memory_order_seq_cst))
+            : nullptr;
     const check::Action cas_act = sched_point(check::Point::kCas, &obj);
     if (cas_act == check::Action::kInjectAbort) {
       obj.destroy_(fresh->new_version);
@@ -1043,12 +1066,33 @@ void* Runtime::dstm_open_write(ThreadCtx& tc, TObjectBase& obj) {
       tc.ebr_.retire(l, &Locator::reclaim);
       tc.wrote_this_attempt_ = true;  // commit must bump the snapshot clock
       if (config_.visible_reads) {
+        // Ghost oracle input (checker builds only, under the schedule token,
+        // so the CAS instant is this step): the readers announced now.
+        std::vector<const TxDesc*> announced;
+        if (config_.checker != nullptr) announced = announced_readers(tc, obj);
         // SEEDED BUG (skip_reader_abort): acquiring without resolving the
         // visible readers leaves them on snapshots this write supersedes.
-        if (!config_.bugs.skip_reader_abort) resolve_readers(tc, obj);
+        if (!config_.bugs.skip_reader_abort) {
+          // The record pointer is loaded after the CAS (DESIGN.md §11.2).
+          resolve_readers(tc, obj,
+                          config_.bugs.stale_reader_record
+                              ? early_readers
+                              : obj.readers_.load(std::memory_order_seq_cst));
+        }
         // The clone's base is a fresh observation: re-check our own status
         // for the same reason as in dstm_open_read.
         ensure_alive(tc);
+        // Every reader announced at the CAS must be resolved by now (aborted,
+        // or finished before we could abort it); one still running may hold
+        // a version this write supersedes.
+        for (const TxDesc* r : announced) {
+          if (r->is_active()) {
+            config_.checker->on_opacity_violation(
+                "a writer acquired an object and left a reader announced before its CAS "
+                "unresolved");
+            break;
+          }
+        }
       } else {
         // DSTM validates on every open: the clone's base (the replaced
         // locator's committed version) is a fresh shared observation the
@@ -1066,13 +1110,27 @@ void* Runtime::dstm_open_write(ThreadCtx& tc, TObjectBase& obj) {
   }
 }
 
-void Runtime::resolve_readers(ThreadCtx& tc, TObjectBase& obj) {
+std::vector<const TxDesc*> Runtime::announced_readers(ThreadCtx& tc, const TObjectBase& obj) {
+  std::vector<const TxDesc*> out;
+  const ReaderStripes* readers = obj.readers_.load(std::memory_order_seq_cst);
+  if (readers == nullptr) return out;
+  for (unsigned slot = 0; slot < ReaderStripes::kCapacity; ++slot) {
+    if (slot == tc.slot_ || !readers->announced(slot)) continue;
+    if (const TxDesc* d = tx_of_slot(slot)) out.push_back(d);
+  }
+  return out;
+}
+
+void Runtime::resolve_readers(ThreadCtx& tc, TObjectBase& obj, const ReaderStripes* readers) {
+  // No record when the pointer was loaded after our locator CAS: every
+  // later install, and so every reader, sees our locator instead.
+  if (readers == nullptr) return;
   TxDesc* me = tc.current_;
   // Scan all stripes of the acquire-time reader snapshot (the flag
   // protocol's seq_cst pairing is per stripe word; a reader announcing
   // after its stripe was scanned sees our installed locator instead).
   for (unsigned stripe = 0; stripe < ReaderStripes::kStripes; ++stripe) {
-    std::uint64_t bits = obj.readers_.load_stripe(stripe, std::memory_order_seq_cst);
+    std::uint64_t bits = readers->load_stripe(stripe, std::memory_order_seq_cst);
     if (stripe == ReaderStripes::stripe_of(tc.slot_)) {
       bits &= ~ReaderStripes::bit_of(tc.slot_);
     }

@@ -329,6 +329,11 @@ struct RuntimeConfig {
     /// effect degrades to timeout stalls; under the checker the parked
     /// thread stays blocked and the deadlock-freedom oracle fires.
     bool park_lost_wakeup = false;
+    /// Visible reads: read the object's reader record (its pointer and
+    /// stripe words) before the acquiring locator CAS instead of after it
+    /// and resolve against that copy. A reader that announces, or installs
+    /// the record, in between is never resolved and keeps a stale snapshot.
+    bool stale_reader_record = false;
   };
   DebugFaults bugs;
 
@@ -536,8 +541,12 @@ class Runtime {
   /// Kills the own transaction and throws TxAbort.
   [[noreturn]] void abort_self(ThreadCtx& tc);
 
-  /// Resolve the visible readers present at acquire time.
-  void resolve_readers(ThreadCtx& tc, TObjectBase& obj);
+  /// Resolve the visible readers present at acquire time. `readers` is
+  /// obj's record pointer, loaded after the acquiring CAS (null: no reader).
+  void resolve_readers(ThreadCtx& tc, TObjectBase& obj, const ReaderStripes* readers);
+  /// Checker-only ghost input: the attempts of every other slot announced
+  /// on obj's reader record right now.
+  std::vector<const TxDesc*> announced_readers(ThreadCtx& tc, const TObjectBase& obj);
 
   /// Conflict arbitration front end: plain manager resolve() when the
   /// liveness layer is off; otherwise irrevocability short-circuits

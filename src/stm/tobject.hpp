@@ -19,7 +19,10 @@
 // slot / K). Writers resolve against every active reader in their
 // acquire-time snapshot by scanning the stripes; combined with the "check
 // own status before every open" rule in the runtime this yields consistent
-// views without read-set validation (see DESIGN.md §5, §11).
+// views without read-set validation (see DESIGN.md §5, §11). The record
+// lives out of line and is allocated by the object's first visible read, so
+// objects that are never read visibly (orec engine, invisible reads) stay
+// one cache line.
 #pragma once
 
 #include <atomic>
@@ -131,8 +134,10 @@ struct Locator {
 
 /// Non-template core of a transactional object. All protocol logic lives in
 /// the runtime (one non-template translation unit); this class only owns
-/// the locator chain head and the striped visible-reader records.
-class TObjectBase {
+/// the locator chain head and the striped visible-reader record. One cache
+/// line: the record (four padded stripes) is allocated on first visible
+/// read, see reader_record().
+class alignas(kCacheLine) TObjectBase {
  public:
   /// Clones `src` into a block of `pool` (nullptr → global allocation); the
   /// result must be freed with `destroy`.
@@ -155,6 +160,10 @@ class TObjectBase {
   /// the orec backend the latest committed payload lives in orec_body_ (the
   /// locator then still owns the initial version).
   ~TObjectBase() {
+    if (ReaderStripes* r = readers_.load(std::memory_order_relaxed)) {
+      r->~ReaderStripes();
+      util::Pool::deallocate(r);
+    }
     if (void* b = orec_body_.load(std::memory_order_relaxed)) destroy_(b);
     Locator* l = loc_.load(std::memory_order_relaxed);
     if (l->owner != nullptr) l->owner->release();
@@ -179,6 +188,11 @@ class TObjectBase {
                : l->old_version;
   }
 
+  /// True once a visible read has allocated this object's reader record.
+  bool has_reader_records() const noexcept {
+    return readers_.load(std::memory_order_acquire) != nullptr;
+  }
+
  private:
   friend class Runtime;
   friend class Tx;
@@ -192,8 +206,25 @@ class TObjectBase {
     return clone_(src, payload_size_ <= util::Pool::kMaxBlock ? pool : nullptr);
   }
 
+  /// The visible-reader record, installed on first use. The pointer is
+  /// written once (null -> record) and never changes until ~TObjectBase.
+  /// seq_cst load and CAS: a writer that later finds the pointer null must
+  /// be ordered before the install in the single total order, so this
+  /// reader's subsequent locator load sees that writer (DESIGN.md §11.2).
+  /// The loser of a racing install frees its own block.
+  ReaderStripes& reader_record(util::Pool* pool) {
+    ReaderStripes* r = readers_.load(std::memory_order_seq_cst);
+    if (r != nullptr) [[likely]] return *r;
+    ReaderStripes* fresh = util::pool_new<ReaderStripes>(pool);
+    if (readers_.compare_exchange_strong(r, fresh, std::memory_order_seq_cst)) return *fresh;
+    fresh->~ReaderStripes();
+    util::Pool::deallocate(fresh);
+    return *r;
+  }
+
   std::atomic<Locator*> loc_;
-  ReaderStripes readers_;
+  /// Visible-read mode only; null until the first visible read.
+  std::atomic<ReaderStripes*> readers_{nullptr};
   CloneFn clone_;
   DestroyFn destroy_;
   std::uint32_t payload_size_;
@@ -209,6 +240,8 @@ class TObjectBase {
   /// and the cross-variant decision-parity tests rely on.
   std::atomic<std::uint64_t> orec_id_{0};
 };
+static_assert(sizeof(TObjectBase) == kCacheLine,
+              "TObjectBase must stay one cache line: the reader record lives out of line");
 
 /// Typed transactional object. T must be copy-constructible (clone-on-write).
 template <typename T>

@@ -1,17 +1,13 @@
 #include "structs/hashtable.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace wstm::structs {
 
-HashTable::HashTable(std::size_t buckets) {
-  std::size_t n = 1;
-  while (n < buckets) n <<= 1;
-  buckets_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    buckets_.push_back(std::make_unique<Bucket>(BucketData{}));
-  }
-}
+HashTable::HashTable(std::size_t buckets)
+    : bucket_count_(std::bit_ceil(std::max<std::size_t>(buckets, 1))),
+      slots_(std::make_unique_for_overwrite<Slot[]>(bucket_count_)) {}
 
 std::uint64_t HashTable::mix(long key) noexcept {
   // Fibonacci hashing over a splitmix-style finalizer.
@@ -23,7 +19,7 @@ std::uint64_t HashTable::mix(long key) noexcept {
 }
 
 HashTable::Bucket& HashTable::bucket_for(long key) noexcept {
-  return *buckets_[mix(key) & (buckets_.size() - 1)];
+  return slots_[mix(key) & (bucket_count_ - 1)].bucket;
 }
 
 bool HashTable::insert(stm::Tx& tx, long key) {
@@ -54,8 +50,8 @@ bool HashTable::contains(stm::Tx& tx, long key) {
 
 std::vector<long> HashTable::quiescent_elements() const {
   std::vector<long> out;
-  for (const auto& bucket : buckets_) {
-    const BucketData* data = bucket->peek();
+  for (std::size_t i = 0; i < bucket_count_; ++i) {
+    const BucketData* data = slots_[i].bucket.peek();
     out.insert(out.end(), data->keys.begin(), data->keys.end());
   }
   std::sort(out.begin(), out.end());

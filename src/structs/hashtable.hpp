@@ -24,18 +24,29 @@ class HashTable final : public TxIntSet {
   std::vector<long> quiescent_elements() const override;
   std::string kind() const override { return "hashtable"; }
 
-  std::size_t bucket_count() const noexcept { return buckets_.size(); }
+  std::size_t bucket_count() const noexcept { return bucket_count_; }
 
  private:
   struct BucketData {
     std::vector<long> keys;  // sorted, unique
   };
   using Bucket = stm::TObject<BucketData>;
+  /// Buckets live in place, one per 128-byte slot: a lookup touches the
+  /// bucket's own line instead of a pointer array and then the object.
+  /// 128 rather than 64 (a bucket is one line) is measured: packed 64-byte
+  /// slots made the Zipf-skewed serve-zipf benchmark's median transaction
+  /// latency 14 % worse (10 of 10 run pairs, 4-CPU Xeon VM). The likely
+  /// cause is the adjacent-line prefetcher pairing each hot bucket with its
+  /// neighbour.
+  struct alignas(128) Slot {
+    Bucket bucket;
+  };
 
   Bucket& bucket_for(long key) noexcept;
   static std::uint64_t mix(long key) noexcept;
 
-  std::vector<std::unique_ptr<Bucket>> buckets_;
+  std::size_t bucket_count_;
+  std::unique_ptr<Slot[]> slots_;
 };
 
 }  // namespace wstm::structs

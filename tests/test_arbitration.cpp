@@ -189,11 +189,11 @@ struct Cell {
 };
 
 // Two real threads under Greedy in wait mode: the older transaction holds
-// the only object for several milliseconds; the younger one conflicts,
-// loses (Greedy: older wins), and must *park* on the older descriptor
-// instead of burning the wait on yields — its parks counter advances and
-// the total parked time is of the same order as the hold. The older
-// commit's unpark edge (or the slice timeout) wakes it and it commits.
+// the only object until the younger one has conflicted, lost (Greedy: older
+// wins) and entered its wait; the younger must *park* on the older
+// descriptor instead of burning the wait on yields, so its parks counter
+// advances. The older commit's unpark edge (or the slice timeout) wakes it
+// and it commits.
 TEST(ArbitrationReal, YoungerGreedyTransactionParksUntilOlderCommits) {
   stm::RuntimeConfig cfg;
   cfg.arbitration = stm::ArbitrationMode::kWait;
@@ -201,20 +201,29 @@ TEST(ArbitrationReal, YoungerGreedyTransactionParksUntilOlderCommits) {
   stm::TObject<Cell> cell(Cell{0});
 
   std::atomic<bool> older_opened{false};
-  std::atomic<bool> younger_started{false};
+  std::atomic<int> younger_slot{-1};
+  bool younger_never_waited = false;
   std::thread older([&] {
     stm::ThreadCtx& tc = rt.attach_thread();
     rt.atomically(tc, [&](stm::Tx& tx) {
       cell.open_write(tx)->value += 1;
       older_opened.store(true, std::memory_order_release);
-      // Hold the object long enough that the younger thread's 50 us Greedy
-      // park slices must fire many times over.
-      const std::int64_t until = now_ns() + 5'000'000;
-      while (now_ns() < until && !younger_started.load(std::memory_order_acquire)) {
+      // Hold the object until the younger transaction is waiting on it:
+      // Greedy sets `waiting` just before it parks, so the park is then
+      // certain however late the younger thread gets scheduled. Reading its
+      // descriptor is safe because this thread is pinned inside a
+      // transaction.
+      const std::int64_t deadline = now_ns() + 2'000'000'000;
+      for (;;) {
+        const int slot = younger_slot.load(std::memory_order_acquire);
+        const stm::TxDesc* d = slot < 0 ? nullptr : rt.tx_of_slot(static_cast<unsigned>(slot));
+        if (d != nullptr && d->waiting.load(std::memory_order_acquire)) break;
+        if (now_ns() > deadline) {
+          younger_never_waited = true;
+          break;
+        }
         std::this_thread::yield();
       }
-      const std::int64_t tail = now_ns() + 3'000'000;
-      while (now_ns() < tail) std::this_thread::yield();
     });
   });
 
@@ -223,7 +232,7 @@ TEST(ArbitrationReal, YoungerGreedyTransactionParksUntilOlderCommits) {
   std::thread younger([&] {
     stm::ThreadCtx& tc = rt.attach_thread();
     while (!older_opened.load(std::memory_order_acquire)) std::this_thread::yield();
-    younger_started.store(true, std::memory_order_release);
+    younger_slot.store(static_cast<int>(tc.slot()), std::memory_order_release);
     rt.atomically(tc, [&](stm::Tx& tx) { cell.open_write(tx)->value += 10; });
     younger_parks = tc.metrics().parks;
     younger_park_ns = tc.metrics().park_ns;
@@ -231,6 +240,7 @@ TEST(ArbitrationReal, YoungerGreedyTransactionParksUntilOlderCommits) {
   older.join();
   younger.join();
 
+  EXPECT_FALSE(younger_never_waited) << "the younger transaction did not wait within 2 s";
   EXPECT_EQ(cell.peek()->value, 11);
   EXPECT_GT(younger_parks, 0u) << "the losing transaction never parked";
   EXPECT_GT(younger_park_ns, 0u);

@@ -304,6 +304,27 @@ TEST(CheckerSeededBug, FindsSkipReaderAbortWithinBudget) {
   EXPECT_GT(er.violations, 0u) << "skip-reader-abort not found in 40 schedules";
 }
 
+TEST(CheckerSeededBug, FindsStaleReaderRecordWithinBudget) {
+  CheckConfig c;
+  c.threads = 3;
+  c.ops_per_thread = 16;
+  c.key_range = 16;
+  c.cm = "Aggressive";  // no CM wait slices: keeps the replays fast
+  c.bug = "stale-reader-record";  // reader record read before the acquiring CAS
+  Checker checker(c);
+  const auto er = checker.explore(/*num_schedules=*/40);
+  ASSERT_GT(er.violations, 0u) << "stale-reader-record not found in 40 schedules";
+  EXPECT_NE(er.first_violation.diagnosis.find("announced before its CAS"), std::string::npos)
+      << er.first_violation.diagnosis;
+
+  const RunResult again = checker.replay(er.first_violation.schedule);
+  EXPECT_TRUE(again.violation);
+  const auto sr = checker.shrink(er.first_violation.schedule, /*max_replays=*/60);
+  EXPECT_TRUE(sr.still_fails);
+  EXPECT_LE(sr.schedule.decisions.size(), er.first_violation.schedule.decisions.size());
+  EXPECT_TRUE(checker.replay(sr.schedule).violation) << "shrunk schedule lost the failure";
+}
+
 TEST(CheckerSeededBug, CleanProtocolSurvivesSameBudget) {
   CheckConfig c;
   c.threads = 3;

@@ -150,6 +150,103 @@ TEST(ReaderStripes, WriterResolvesReadersAcrossStripes) {
   EXPECT_GE(rt->total_metrics().wr_conflicts, kReaders);
 }
 
+// The reader record is allocated on an object's first visible read, so the
+// orec engine and DSTM invisible reads, which never announce readers, leave
+// every object at its one-line footprint.
+TEST(ReaderStripes, OrecAndInvisibleReadRunsAllocateNoRecords) {
+  for (const bool orec : {true, false}) {
+    RuntimeConfig cfg;
+    if (orec) {
+      cfg.backend = BackendKind::kOrec;
+    } else {
+      cfg.visible_reads = false;
+    }
+    Runtime rt(cm::make_manager("Polka", cm::Params{}), cfg);
+    std::vector<std::unique_ptr<TObject<long>>> objs;
+    for (long i = 0; i < 8; ++i) objs.push_back(std::make_unique<TObject<long>>(i));
+    std::vector<std::thread> workers;
+    for (unsigned t = 0; t < 2; ++t) {
+      workers.emplace_back([&, t] {
+        ThreadCtx& tc = rt.attach_thread();
+        for (unsigned i = 0; i < 200; ++i) {
+          rt.atomically(tc, [&](Tx& tx) {
+            const long a = *objs[(i + t) % objs.size()]->open_read(tx);
+            *objs[(i * 3 + t) % objs.size()]->open_write(tx) += a & 1;
+          });
+        }
+      });
+    }
+    for (auto& w : workers) w.join();
+    for (const auto& o : objs) {
+      EXPECT_FALSE(o->has_reader_records()) << (orec ? "orec" : "dstm invisible");
+    }
+  }
+}
+
+// A visible read installs the record on the object it reads, and only there.
+TEST(ReaderStripes, VisibleReadInstallsOneRecord) {
+  Runtime rt(cm::make_manager("Polka", cm::Params{}));
+  TObject<long> read(1);
+  TObject<long> untouched(2);
+  EXPECT_FALSE(read.has_reader_records());
+  ThreadCtx& tc = rt.attach_thread();
+  EXPECT_EQ(rt.atomically(tc, [&](Tx& tx) { return *read.open_read(tx); }), 1);
+  EXPECT_TRUE(read.has_reader_records());
+  EXPECT_FALSE(untouched.has_reader_records());
+  // Writing through the record-bearing object keeps it; later reads reuse it.
+  rt.atomically(tc, [&](Tx& tx) { *read.open_write(tx) = 3; });
+  EXPECT_EQ(rt.atomically(tc, [&](Tx& tx) { return *read.open_read(tx); }), 3);
+  EXPECT_TRUE(read.has_reader_records());
+  EXPECT_EQ(tc.metrics().wr_conflicts, 0u);
+}
+
+// Eight threads race the first visible read of a fresh object: one install
+// wins and the losers free their blocks and announce on the winner's record.
+// Had any reader announced on a block other than the surviving record, the
+// writer's stripe scan would miss it; it must find and abort all eight.
+// Rounds repeat the race on fresh objects to widen the window.
+TEST(ReaderStripes, RacingFirstReadersInstallOneRecord) {
+  constexpr unsigned kReaders = 8;
+  constexpr int kRounds = 20;
+  cm::Params params;
+  params.threads = kReaders + 1;
+  Runtime rt(cm::make_manager("Aggressive", params));
+  ThreadCtx& writer = rt.attach_thread();
+  for (int round = 0; round < kRounds; ++round) {
+    TObject<long> obj(0);
+    std::atomic<bool> start{false};
+    std::atomic<bool> go{false};
+    std::atomic<unsigned> inside{0};
+    std::vector<std::thread> readers;
+    for (unsigned t = 0; t < kReaders; ++t) {
+      readers.emplace_back([&] {
+        ThreadCtx& tc = rt.attach_thread();
+        while (!start.load(std::memory_order_acquire)) std::this_thread::yield();
+        bool counted = false;
+        const long v = rt.atomically(tc, [&](Tx& tx) {
+          const long x = *obj.open_read(tx);
+          if (!counted) {
+            counted = true;
+            inside.fetch_add(1, std::memory_order_acq_rel);
+          }
+          while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+          return x;
+        });
+        EXPECT_EQ(v, 1);  // the first attempt was aborted by the write
+        rt.detach_thread(tc);
+      });
+    }
+    start.store(true, std::memory_order_release);
+    while (inside.load(std::memory_order_acquire) < kReaders) std::this_thread::yield();
+    EXPECT_TRUE(obj.has_reader_records());
+    const std::uint64_t before = writer.metrics().wr_conflicts;
+    rt.atomically(writer, [&](Tx& tx) { *obj.open_write(tx) = 1; });
+    go.store(true, std::memory_order_release);
+    for (auto& r : readers) r.join();
+    EXPECT_EQ(writer.metrics().wr_conflicts - before, kReaders) << "round " << round;
+  }
+}
+
 // Thread churn through the sharded pool registry: pools parked in one
 // shard must be re-acquirable (possibly via cross-shard steal) and blocks
 // freed cross-thread must survive the park/acquire cycle. TSan coverage

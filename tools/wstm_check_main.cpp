@@ -77,7 +77,7 @@ void add_config_flags(wstm::Cli& cli, const CheckConfig& d) {
   cli.add_flag("bug",
                "seeded protocol bug: none|blind-commit|skip-reader-abort|"
                "skip-cas-recheck|skip-read-validation (orec)|"
-               "park-lost-wakeup (arbitration=wait)",
+               "park-lost-wakeup (arbitration=wait)|stale-reader-record",
                d.bug);
 }
 
