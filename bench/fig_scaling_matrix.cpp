@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
 
   std::cout << "== Scaling matrix: " << benchmark << " range " << key_range << ", "
             << update_percent << "% updates, " << cm_name
-            << ", invisible reads + snapshot extension ==\n\n";
+            << ", orec engine ==\n\n";
 
   Table table({"M", "commits/s", "aborts/commit", "clock_bumps", "stripe_retries", "ebr_syncs"});
   std::vector<Row> rows;
@@ -105,8 +105,7 @@ int main(int argc, char** argv) {
     run.threads = static_cast<std::uint32_t>(m);
     run.duration_ms = ms;
     run.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-    run.visible_reads = false;
-    run.snapshot_ext = true;
+    run.backend = "orec";
     const harness::RunResult r = harness::run_workload(cm_name, cm::Params{}, *workload, run);
 
     Row row;

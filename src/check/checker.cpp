@@ -57,18 +57,16 @@ stm::RuntimeConfig::DebugFaults parse_bug(const std::string& bug) {
     b.blind_commit = true;
   } else if (bug == "skip-reader-abort") {
     b.skip_reader_abort = true;
-  } else if (bug == "skip-cas-recheck") {
-    b.skip_cas_recheck = true;
   } else if (bug == "skip-read-validation") {
     b.orec_skip_validation = true;  // orec backend only; a no-op under dstm
   } else if (bug == "park-lost-wakeup") {
     b.park_lost_wakeup = true;  // meaningful only with arbitration=wait
   } else if (bug == "stale-reader-record") {
-    b.stale_reader_record = true;  // dstm backend, visible reads only
+    b.stale_reader_record = true;  // dstm backend only
   } else {
     throw std::invalid_argument("unknown seeded bug \"" + bug +
-                                "\" (none|blind-commit|skip-reader-abort|skip-cas-recheck|"
-                                "skip-read-validation|park-lost-wakeup|stale-reader-record)");
+                                "\" (none|blind-commit|skip-reader-abort|skip-read-validation|"
+                                "park-lost-wakeup|stale-reader-record)");
   }
   return b;
 }
@@ -122,8 +120,6 @@ RunResult Checker::run_with_policy(Policy& policy, const CheckConfig& cfg) {
   rtc.seed = cfg.seed;
   rtc.backend = stm::parse_backend(cfg.backend);
   rtc.arbitration = stm::parse_arbitration(cfg.arbitration);
-  rtc.visible_reads = cfg.visible_reads;
-  rtc.snapshot_ext = cfg.snapshot_ext;
   rtc.bugs = parse_bug(cfg.bug);
   if (cfg.liveness) {
     // Checker-friendly liveness: tight thresholds so short runs reach the
@@ -217,11 +213,11 @@ RunResult Checker::run_with_policy(Policy& policy, const CheckConfig& cfg) {
     rr.diagnosis = "linearizability: " + lin.diagnosis;
   }
 
-  // Ghost opacity oracle: a torn invisible-read snapshot is a violation even
-  // when the committed history still linearizes (commit-time validation
-  // usually aborts the victim before its stale view reaches the history —
-  // exactly why skip_cas_recheck-class bugs need this oracle, not the
-  // history check).
+  // Ghost opacity oracle: a torn snapshot is a violation even when the
+  // committed history still linearizes (commit-time validation or a later
+  // kill usually stops the victim before its stale view reaches the history
+  // — exactly why the stale-reader-record and skip-read-validation bugs
+  // need this oracle, not the history check).
   if (const std::uint64_t ov = exec.opacity_violations()) {
     rr.violation = true;
     if (!rr.diagnosis.empty()) rr.diagnosis += "\n";

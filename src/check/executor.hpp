@@ -63,10 +63,10 @@ class VirtualExecutor final : public SchedulerHook {
   /// True once the step budget forced free-running (run verdicts are void).
   bool over_budget() const noexcept { return free_run_.load(std::memory_order_relaxed); }
 
-  /// Ghost opacity-oracle reports collected this run (see
-  /// Runtime::open_read_invisible / validate_or_extend); nonzero means the
-  /// run observed a torn invisible-read snapshot even if the committed
-  /// history still linearizes. Read after workers have joined.
+  /// Ghost opacity-oracle reports collected this run (see the
+  /// on_opacity_violation callers in Runtime::dstm_open_write and the orec
+  /// engine); nonzero means the run observed a torn snapshot even if the
+  /// committed history still linearizes. Read after workers have joined.
   std::uint64_t opacity_violations() const noexcept {
     return opacity_violations_.load(std::memory_order_acquire);
   }

@@ -76,10 +76,12 @@ class SchedulerHook {
   /// with kProceed.
   virtual Action on_point(Point p, const void* object) noexcept = 0;
 
-  /// Called by the runtime's checker-gated ghost checks (invisible-read
-  /// opacity oracle) when a just-returned or fast-path-skipped read is not
-  /// the current committed version. Only invoked while the caller holds the
-  /// schedule token, so implementations need no extra synchronization.
+  /// Called by the runtime's checker-gated ghost checks (opacity oracle)
+  /// when a just-returned read is no longer the current committed version,
+  /// a writer left an announced reader unresolved, or an orec commit
+  /// skipped a validation that would have failed. Only invoked while the
+  /// caller holds the schedule token, so implementations need no extra
+  /// synchronization.
   /// Default no-op keeps existing hooks source-compatible. `what` is a
   /// static diagnostic string.
   virtual void on_opacity_violation(const char* what) noexcept { (void)what; }

@@ -91,8 +91,6 @@ std::string to_text(const Schedule& schedule) {
   out << "threads " << c.threads << '\n';
   out << "ops_per_thread " << c.ops_per_thread << '\n';
   out << "key_range " << c.key_range << '\n';
-  out << "visible_reads " << (c.visible_reads ? 1 : 0) << '\n';
-  out << "snapshot_ext " << (c.snapshot_ext ? 1 : 0) << '\n';
   out << "prefill " << (c.prefill ? 1 : 0) << '\n';
   out << "op_mix " << c.op_mix << '\n';
   out << "update_percent " << c.update_percent << '\n';
@@ -152,10 +150,21 @@ Schedule schedule_from_text(const std::string& text) {
       else if (key == "threads") c.threads = as_u32();
       else if (key == "ops_per_thread") c.ops_per_thread = as_u32();
       else if (key == "key_range") c.key_range = std::stol(sval);
-      else if (key == "visible_reads") c.visible_reads = sval != "0";
-      // Absent in pre-fast-path files: they default to 1, matching the
-      // runtime default those runs implicitly had once the flag exists.
-      else if (key == "snapshot_ext") c.snapshot_ext = sval != "0";
+      // DSTM invisible reads were removed. Files without the key, or with
+      // 1, replay unchanged. A file recorded with 0 took the validation
+      // path and its extra schedule points, so replaying it would diverge —
+      // refuse it.
+      else if (key == "visible_reads") {
+        if (sval == "0") {
+          throw std::runtime_error(
+              "schedule: line " + std::to_string(lineno) +
+              ": recorded under the removed DSTM invisible-read mode (visible_reads 0); "
+              "re-record it");
+        }
+      }
+      // The snapshot-extension switch only ever acted on invisible reads.
+      else if (key == "snapshot_ext") {
+      }
       // The deferred commit clock was removed. Files without the key, or
       // with 0, were recorded under the eager clock, the only one left. A
       // file recorded with it on has an extra commit schedule point, so

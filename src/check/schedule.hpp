@@ -67,12 +67,6 @@ struct CheckConfig {
   /// Keys are drawn from [0, key_range); must be <= 64 so the oracle can
   /// memoize set states as one 64-bit mask.
   long key_range = 16;
-  bool visible_reads = true;
-  /// Invisible-read snapshot-extension fast path (see
-  /// stm::RuntimeConfig::snapshot_ext). On by default to match the runtime;
-  /// serialized so a repro replays with the exact validation behavior, and
-  /// togglable so explore can prove ext-on/ext-off histories coincide.
-  bool snapshot_ext = true;
   bool prefill = true;
   /// Op mix: "default" = insert/remove/contains/move/pair-read,
   /// "insert-heavy" = insert/contains/pair-read only (no node retirement —
@@ -105,9 +99,8 @@ struct CheckConfig {
   bool liveness = false;
   FaultOptions faults;
   /// Seeded protocol bug to arm (stm::RuntimeConfig::DebugFaults):
-  /// none | blind-commit | skip-reader-abort | skip-cas-recheck |
-  /// skip-read-validation (orec backend) | park-lost-wakeup |
-  /// stale-reader-record.
+  /// none | blind-commit | skip-reader-abort | skip-read-validation (orec
+  /// backend) | park-lost-wakeup | stale-reader-record.
   std::string bug = "none";
 
   std::uint64_t effective_max_steps() const noexcept {

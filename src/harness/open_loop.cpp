@@ -51,8 +51,6 @@ OpenLoopResult run_open_loop(const std::string& cm_name, cm::Params cm_params,
   rt_config.backend = stm::parse_backend(run.backend);
   rt_config.arbitration = stm::parse_arbitration(run.arbitration);
   cm_params.requester_waits = rt_config.arbitration == stm::ArbitrationMode::kWait;
-  rt_config.visible_reads = run.visible_reads;
-  rt_config.snapshot_ext = run.snapshot_ext;
   // Same auto rule as the closed-loop runner: on a host with fewer CPUs
   // than workers, emulate preemption so served transactions still overlap.
   rt_config.preempt_yield_permille =

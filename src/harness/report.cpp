@@ -57,17 +57,14 @@ void register_matrix_flags(Cli& cli, const std::string& default_benchmarks,
                "yield probability (permille) at each open, to emulate multicore "
                "interleaving on undersubscribed hosts; -1 = auto",
                static_cast<std::int64_t>(-1));
-  cli.add_flag("backend", "execution engine: dstm (eager locator) | orec (lazy TL2-style)",
+  cli.add_flag("backend",
+               "execution engine: dstm (eager locator, visible reads) | orec (lazy "
+               "TL2-style, invisible reads)",
                std::string("dstm"));
   cli.add_flag("arbitration",
                "conflict arbitration: abort (losers retry immediately) | wait "
                "(requester-waits: losers park until the winner's status transition)",
                std::string("abort"));
-  cli.add_flag("visible-reads", "visible (paper) vs invisible (validated) reads", true);
-  cli.add_flag("snapshot-ext",
-               "commit-clock snapshot extension for invisible reads (off = validate "
-               "the read set on every open)",
-               true);
   cli.add_flag("validate", "check structure invariants after each run", true);
   cli.add_flag("csv", "emit CSV instead of aligned tables", false);
   cli.add_flag("trace",
@@ -130,8 +127,6 @@ MatrixSpec matrix_from_cli(const Cli& cli) {
   spec.base.preempt_permille = static_cast<std::int32_t>(cli.get_int("preempt-permille"));
   spec.base.backend = cli.get_string("backend");
   spec.base.arbitration = cli.get_string("arbitration");
-  spec.base.visible_reads = cli.get_bool("visible-reads");
-  spec.base.snapshot_ext = cli.get_bool("snapshot-ext");
   spec.base.validate = cli.get_bool("validate");
   spec.repetitions = static_cast<unsigned>(cli.get_int("runs"));
   spec.key_range = cli.get_int("key-range");

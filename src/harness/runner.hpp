@@ -35,9 +35,6 @@ struct RunConfig {
   /// -1 = auto: 25 permille when the host has fewer hardware threads than
   /// `threads`, otherwise 0.
   std::int32_t preempt_permille = -1;
-  /// Read mode (see stm::RuntimeConfig::visible_reads). The paper used
-  /// visible reads; invisible trades reader bitmaps for validation.
-  bool visible_reads = true;
   /// Execution engine: "dstm" (eager locator protocol) or "orec" (lazy
   /// TL2-style redo logging). Parsed with stm::parse_backend; the CM layer
   /// is identical on both. See DESIGN.md §12.
@@ -47,11 +44,6 @@ struct RunConfig {
   /// descriptor until its status transition). Parsed with
   /// stm::parse_arbitration. See DESIGN.md §13.
   std::string arbitration = "abort";
-  /// Invisible-read snapshot-extension fast path (see
-  /// stm::RuntimeConfig::snapshot_ext). Off reproduces the
-  /// validate-on-every-open O(R²) numbers for overhead comparisons;
-  /// no effect with visible reads.
-  bool snapshot_ext = true;
   /// When non-empty, record transaction events during the measured interval
   /// and write them here after the run: Chrome trace_event JSON if the path
   /// ends in ".json", the compact binary format otherwise (read it back

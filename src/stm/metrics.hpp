@@ -47,28 +47,24 @@ struct ThreadMetrics {
   /// of `aborts`; always 0 outside checker runs).
   std::uint64_t injected_aborts = 0;
 
-  // Invisible-read validation; all 0 in visible-read mode.
+  // Orec read-set validation (invisible reads); all 0 on the DSTM engine.
   /// Full read-set validation passes executed (each O(R)).
   std::uint64_t validations = 0;
   /// Read-set entries checked across those passes (the real validation
-  /// cost: O(reads * R) without the commit-clock fast path).
+  /// cost).
   std::uint64_t validated_reads = 0;
-  /// Passes that ran because the commit clock advanced past the attempt's
-  /// snapshot (LSA/TL2-style snapshot extension; subset of `validations`).
+  /// Passes that ran because a read met a version younger than the
+  /// attempt's read version rv (TL2-style snapshot extension; subset of
+  /// `validations`).
   std::uint64_t extensions = 0;
-  /// Validation passes skipped by the snapshot fast path (clock unchanged).
-  std::uint64_t validations_skipped = 0;
-  /// Estimated time saved by skipped passes (skips x EWMA of measured
-  /// extension-pass cost; 0 until the first extension pass calibrates it).
-  std::int64_t validation_saved_ns = 0;
-  /// Re-opens of an object already in the read set (deduplicated, not
+  /// Reads under an orec already in the read set (deduplicated, not
   /// appended — without dedup R becomes the read *count*).
   std::uint64_t dup_reads = 0;
 
   // Shared-line contention (see DESIGN.md §11). These separate "how often a
   // thread wrote a process-wide cache line" from "how often it wanted to".
-  /// Writes to the shared commit-clock line: one fetch_add per write-commit
-  /// that bumps the clock.
+  /// Writes to the shared commit-clock line: one fetch_add per orec
+  /// write-commit.
   std::uint64_t clock_bumps = 0;
   /// Failed CAS iterations on the striped visible-reader records: the
   /// residual announce/clear contention the stripes exist to spread.
@@ -77,9 +73,8 @@ struct ThreadMetrics {
   /// epoch) triggered by this thread's retires.
   std::uint64_t ebr_shard_syncs = 0;
 
-  // Orec backend (src/stm/orec/); all 0 under the DSTM engine. The shared
-  // validation counters above (validations, validated_reads, extensions,
-  // dup_reads, clock_bumps) are reused with the same meaning.
+  // Orec backend (src/stm/orec/) lock and write-back traffic; all 0 under
+  // the DSTM engine.
   /// Orec write-locks successfully acquired at commit time.
   std::uint64_t orec_lock_acquires = 0;
   /// Lock-acquire iterations that found the orec held by an active enemy
@@ -138,8 +133,6 @@ struct ThreadMetrics {
     validations += other.validations;
     validated_reads += other.validated_reads;
     extensions += other.extensions;
-    validations_skipped += other.validations_skipped;
-    validation_saved_ns += other.validation_saved_ns;
     dup_reads += other.dup_reads;
     clock_bumps += other.clock_bumps;
     reader_stripe_retries += other.reader_stripe_retries;

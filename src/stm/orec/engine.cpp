@@ -68,12 +68,13 @@ void OrecEngine::begin(ThreadCtx& tc) {
   lg.lock_order.clear();
   // rv: every version <= rv was written back before this attempt began, so
   // reading it can never observe a half-committed write set.
-  tc.snapshot_clock_ = rt_.commit_clock_->load(std::memory_order_seq_cst);
+  lg.rv = rt_.commit_clock_->load(std::memory_order_seq_cst);
 }
 
 const void* OrecEngine::read_consistent(ThreadCtx& tc, TObjectBase& obj,
                                         std::atomic<std::uint64_t>& orec, check::Point point,
                                         ConflictKind kind, std::uint64_t& word_out) {
+  TxLogs& lg = logs(tc);
   TxDesc* me = tc.current_;
   for (;;) {
     if (rt_.sched_point(point, &obj) == check::Action::kInjectAbort) {
@@ -91,7 +92,7 @@ const void* OrecEngine::read_consistent(ThreadCtx& tc, TObjectBase& obj,
         // object sharing the orec with our commit): the committed body is
         // unchanged until write-back, and the read set must record the
         // pre-lock word so validation compares like with like.
-        word_out = saved_word_of(logs(tc), &orec);
+        word_out = saved_word_of(lg, &orec);
         return committed_body(obj);
       }
       const TxStatus st = owner->status.load(std::memory_order_acquire);
@@ -126,7 +127,7 @@ const void* OrecEngine::read_consistent(ThreadCtx& tc, TObjectBase& obj,
     // store, so reading its body here forces the re-read below to see the
     // lock. Unchanged ⟹ `payload` is the committed version for w1.
     if (orec.load(std::memory_order_seq_cst) != w1) continue;
-    if (OrecTable::version_of(w1) > tc.snapshot_clock_) {
+    if (OrecTable::version_of(w1) > lg.rv) {
       // Version younger than rv: the snapshot cannot absorb it directly.
       // Extend rv (full revalidation; aborts on failure) and re-read.
       extend(tc);
@@ -146,7 +147,7 @@ const void* OrecEngine::read_consistent(ThreadCtx& tc, TObjectBase& obj,
                                         std::memory_order_seq_cst)) {
         continue;  // lost a race; re-examine the new word
       }
-      logs(tc).locks.push_back({&orec, w1});
+      lg.locks.push_back({&orec, w1});
       tc.metrics_.orec_lock_acquires++;
     }
     word_out = w1;
@@ -158,7 +159,7 @@ void OrecEngine::record_read(ThreadCtx& tc, std::atomic<std::uint64_t>& orec,
                              std::uint64_t word) {
   TxLogs& lg = logs(tc);
   const std::uint32_t idx = lg.read_index.find(&orec);
-  if (idx != InvisReadIndex::kNotFound) {
+  if (idx != PtrIndex::kNotFound) {
     // Objects sharing this orec were read under one version. A mismatch is
     // unreachable while (V) holds — any version move past the recorded word
     // either trips the rv check (extend revalidates this entry) or shows a
@@ -176,13 +177,14 @@ void OrecEngine::extend(ThreadCtx& tc) {
   // held their versions continuously from first read through the pass, in
   // particular at the sample instant — so the whole set is consistent there
   // and rv may advance to it (the TL2 extension argument).
+  TxLogs& lg = logs(tc);
   const std::uint64_t clock = rt_.commit_clock_->load(std::memory_order_seq_cst);
   validate_read_set(tc);
-  tc.snapshot_clock_ = clock;
+  lg.rv = clock;
   tc.metrics_.extensions++;
   if (trace::Recorder* rec = rt_.config_.recorder) {
     rec->record(tc.slot_, trace::EventKind::kSnapshotExtend, tc.current_->serial, 1,
-                trace::kNoEnemy, static_cast<std::uint64_t>(logs(tc).reads.size()), clock);
+                trace::kNoEnemy, static_cast<std::uint64_t>(lg.reads.size()), clock);
   }
 }
 
@@ -258,7 +260,7 @@ const void* OrecEngine::open_read(ThreadCtx& tc, TObjectBase& obj) {
   TxDesc* me = tc.current_;
   // Read-own-writes: the redo clone is this attempt's view of the object.
   const std::uint32_t widx = lg.write_index.find(&obj);
-  if (widx != InvisReadIndex::kNotFound) {
+  if (widx != PtrIndex::kNotFound) {
     rt_.manager_->on_open(tc, *me);
     return lg.writes[widx].clone;
   }
@@ -283,7 +285,7 @@ void* OrecEngine::open_write(ThreadCtx& tc, TObjectBase& obj) {
   TxLogs& lg = logs(tc);
   TxDesc* me = tc.current_;
   const std::uint32_t widx = lg.write_index.find(&obj);
-  if (widx != InvisReadIndex::kNotFound) {
+  if (widx != PtrIndex::kNotFound) {
     rt_.manager_->on_open(tc, *me);
     return lg.writes[widx].clone;
   }
@@ -298,7 +300,6 @@ void* OrecEngine::open_write(ThreadCtx& tc, TObjectBase& obj) {
   void* clone = obj.make_clone(tc.pool_, base);
   lg.write_index.insert(&obj, static_cast<std::uint32_t>(lg.writes.size()));
   lg.writes.push_back({&obj, &orec, clone});
-  tc.wrote_this_attempt_ = true;
   rt_.manager_->on_open(tc, *me);
   return clone;
 }
@@ -401,9 +402,8 @@ bool OrecEngine::commit(ThreadCtx& tc) {
   } else {
     validate_read_set(tc);
   }
-  // wv: eager bump on the shared clock, the same discipline as the DSTM
-  // engine; orec readers key validation off orec words, which carry this
-  // value at release time (DESIGN.md §12).
+  // wv: eager bump on the shared clock; readers key validation off orec
+  // words, which carry this value at release time (DESIGN.md §12).
   const std::uint64_t wv = rt_.commit_clock_->fetch_add(1, std::memory_order_seq_cst) + 1;
   tc.metrics_.clock_bumps++;
   TxStatus expected = TxStatus::kActive;

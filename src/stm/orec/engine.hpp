@@ -1,9 +1,8 @@
 // Lazy TL2-style execution engine over the Backend concept (DESIGN.md §12).
 //
 // Reads sample (orec, body, orec) sandwiches against an attempt-local read
-// version rv (ThreadCtx::snapshot_clock_, the same field the DSTM snapshot
-// fast path uses) and extend rv by revalidating the read set when they trip
-// over a younger version. Writes buffer redo-log clones — nothing is locked
+// version rv (TxLogs::rv, a commit-clock sample) and extend rv by
+// revalidating the read set when they trip over a younger version. Writes buffer redo-log clones — nothing is locked
 // until commit, where the engine acquires the write set's orecs in address
 // order, validates the read set, takes a commit timestamp from the shared
 // commit clock, flips status, writes back and releases. Conflicts (a locked
@@ -20,6 +19,7 @@
 
 #include "stm/backend.hpp"
 #include "stm/orec/orec.hpp"
+#include "stm/orec/ptr_index.hpp"
 #include "stm/runtime.hpp"
 
 namespace wstm::stm {
@@ -59,10 +59,13 @@ class OrecEngine final : public Backend {
   /// state). Indexed by ThreadCtx::slot(), so slot recycling reuses logs;
   /// begin() resets them.
   struct TxLogs {
+    /// Read version: every version <= rv was written back before the
+    /// snapshot was taken (set at begin, raised by extend).
+    std::uint64_t rv = 0;
     std::vector<ReadEntry> reads;
-    InvisReadIndex read_index;  // orec address -> reads index (dedup)
+    PtrIndex read_index;  // orec address -> reads index (dedup)
     std::vector<WriteEntry> writes;
-    InvisReadIndex write_index;  // object address -> writes index
+    PtrIndex write_index;  // object address -> writes index
     std::vector<std::uint32_t> lock_order;  // writes indexes, orec-sorted
     std::vector<LockEntry> locks;           // held commit locks, in order
   };

@@ -41,13 +41,8 @@ class DstmBackend final : public Backend {
   explicit DstmBackend(Runtime& rt) : rt_(rt) {}
   BackendKind kind() const noexcept override { return BackendKind::kDstm; }
 
-  void begin(ThreadCtx& tc) override {
-    if (!rt_.snapshot_ext_on_) return;
-    // Validated-snapshot timestamp: the read set is empty, so invariant I
-    // (DESIGN.md §5) holds vacuously at this sample and every later open
-    // may skip validation until the clock moves past it.
-    tc.snapshot_clock_ = rt_.commit_clock_->load(std::memory_order_seq_cst);
-  }
+  // Visible reads validate nothing, so an attempt has no snapshot to take.
+  void begin(ThreadCtx& /*tc*/) override {}
 
   const void* open_read(ThreadCtx& tc, TObjectBase& obj) override {
     return rt_.dstm_open_read(tc, obj);
@@ -64,8 +59,6 @@ class DstmBackend final : public Backend {
           obj->readers_.load(std::memory_order_relaxed)->clear(tc.slot_);
     }
     tc.read_set_.clear();
-    tc.invis_reads_.clear();
-    tc.invis_index_.reset();
   }
 
  private:
@@ -75,15 +68,12 @@ class DstmBackend final : public Backend {
 Runtime::Runtime(cm::ManagerPtr manager, Config config)
     : manager_(std::move(manager)), config_(config) {
   if (!manager_) throw std::invalid_argument("Runtime requires a contention manager");
-  // Visible mode never validates, so the clock would be pure cache-line
-  // traffic there; cache the combined toggle for the hot paths.
-  snapshot_ext_on_ = config_.snapshot_ext && !config_.visible_reads;
+  if (!config_.visible_reads) {
+    throw std::invalid_argument(
+        "RuntimeConfig::visible_reads must be true: DSTM reads are always visible; "
+        "use backend = kOrec for invisible reads");
+  }
   if (config_.backend == BackendKind::kOrec) {
-    // The orec engine validates against orec words and the commit clock
-    // directly; the locator-mode read knobs (visible_reads, snapshot_ext)
-    // have no orec-side consumer and stay off so no DSTM machinery runs by
-    // accident (see DESIGN.md §12 on the clock).
-    snapshot_ext_on_ = false;
     backend_ = std::make_unique<OrecEngine>(*this, config_.orec_table_bits);
   } else {
     backend_ = std::make_unique<DstmBackend>(*this);
@@ -352,7 +342,6 @@ TxDesc* Runtime::begin_attempt(ThreadCtx& tc, std::int64_t first_begin, bool is_
   tc.current_ = desc;
   guard.armed = false;  // published: commit/abort cleanup owns the state now
   tc.waited_this_attempt_ = false;
-  tc.wrote_this_attempt_ = false;
   backend_->begin(tc);
   if (trace::Recorder* rec = config_.recorder) {
     rec->record(tc.slot_, trace::EventKind::kBegin, desc->serial, is_retry ? 1 : 0);
@@ -394,25 +383,9 @@ bool Runtime::finish_attempt_commit(ThreadCtx& tc) {
 
 bool Runtime::dstm_commit(ThreadCtx& tc) {
   TxDesc* desc = tc.current_;
-  // Invisible reads: the read set must still be current at the commit
-  // point (throws TxAbort into the atomically() retry loop on failure). A
-  // skipped pass means no write committed since the last full validation,
-  // and this skip-check is then the attempt's serialization instant.
-  if (!config_.visible_reads) validate_or_extend(tc);
   // Chaos: delayed commit (sleep between the decision and the status CAS —
   // the classic window for lost-update bugs) or a spurious late abort.
   if (chaos_ != nullptr) [[unlikely]] chaos_at_commit(tc);
-  if (snapshot_ext_on_ && tc.wrote_this_attempt_) {
-    // Bump *before* the status transition, so in the seq_cst total order any
-    // reader that still samples the pre-bump value is ordered before this
-    // commit's version switch and its skipped validation stays sound
-    // (DESIGN.md §5). A bump for a CAS that then loses to a remote kill is
-    // harmless — the clock only has to dominate the set of successful
-    // write-commits, and spurious advances merely force an extra extension
-    // pass somewhere.
-    commit_clock_->fetch_add(1, std::memory_order_seq_cst);
-    tc.metrics_.clock_bumps++;
-  }
   if (config_.bugs.blind_commit) [[unlikely]] {
     // SEEDED BUG: a plain store cannot detect a remote kill that landed
     // between the last open and here — the enemy already proceeded on our
@@ -463,8 +436,8 @@ void Runtime::demote_irrevocable(ThreadCtx& tc, TxDesc* desc) {
 
 void Runtime::cleanup_attempt(ThreadCtx& tc, bool committed) {
   TxDesc* desc = tc.current_;
-  // Engine teardown first, while still pinned: DSTM clears reader stripes
-  // and the invisible read set; orec releases still-held commit locks and
+  // Engine teardown first, while still pinned: DSTM clears reader stripes;
+  // orec releases still-held commit locks and
   // drops unapplied redo-log clones.
   backend_->end(tc, committed);
 
@@ -576,7 +549,7 @@ void Runtime::ensure_alive(ThreadCtx& tc) {
 void Runtime::abort_self(ThreadCtx& tc) {
   TxDesc* desc = tc.current_;
   // Irrevocability means "enemies cannot kill us", not "we cannot fail
-  // ourselves" (invisible-read validation, restart(), injected faults).
+  // ourselves" (orec read-set validation, restart(), injected faults).
   // Demote first so try_abort goes through and the token frees up.
   demote_irrevocable(tc, desc);
   desc->try_abort();
@@ -761,7 +734,6 @@ void Runtime::open_prologue(ThreadCtx& tc) {
 }
 
 const void* Runtime::dstm_open_read(ThreadCtx& tc, TObjectBase& obj) {
-  if (!config_.visible_reads) return dstm_open_read_invisible(tc, obj);
   TxDesc* me = tc.current_;
 
   // Announce visibility first (flag protocol: the stripe bit-set must
@@ -811,190 +783,6 @@ const void* Runtime::dstm_open_read(ThreadCtx& tc, TObjectBase& obj) {
   }
 }
 
-const void* Runtime::dstm_open_read_invisible(ThreadCtx& tc, TObjectBase& obj) {
-  TxDesc* me = tc.current_;
-  for (;;) {
-    if (sched_point(check::Point::kRead, &obj) == check::Action::kInjectAbort) {
-      injected_abort(tc);
-    }
-    ensure_alive(tc);
-    Locator* l = obj.loc_.load(std::memory_order_seq_cst);
-    TxDesc* owner = l->owner;
-    const void* version = nullptr;
-    if (owner == nullptr || owner == me) {
-      version = l->new_version;
-    } else {
-      const TxStatus st = owner->status.load(std::memory_order_acquire);
-      if (st == TxStatus::kCommitted) {
-        version = l->new_version;
-      } else if (st == TxStatus::kAborted) {
-        version = l->old_version;
-      } else {
-        // Eager conflict with an active writer, same arbitration as the
-        // visible path.
-        tc.metrics_.rw_conflicts++;
-        note_conflict(tc, *owner);
-        const Resolution res = arbitrate(tc, *me, *owner, ConflictKind::kReadWrite);
-        trace_conflict(tc, *owner, ConflictKind::kReadWrite, res);
-        if (res == Resolution::kAbortEnemy) {
-          if (owner->try_abort()) signal_status_change(&tc, owner);
-        } else if (res == Resolution::kAbortSelf) {
-          abort_self(tc);
-        } else {
-          tc.waited_this_attempt_ = true;
-        }
-        continue;
-      }
-    }
-    // Incremental validation (DSTM): everything read so far must still be
-    // current, and this object's locator must not have changed while we
-    // validated — then the whole read set is a snapshot as of this instant.
-    // With the snapshot-extension fast path this is O(R) only when a write
-    // committed since the attempt's last full pass; otherwise the clock
-    // comparison stands in for the pass (amortized O(1)).
-    validate_or_extend(tc);
-    // Schedule point inside the validate→recheck window: this is the exact
-    // preemption the recheck below exists to survive, so the checker must be
-    // able to interleave a writer here.
-    if (sched_point(check::Point::kRead, &obj) == check::Action::kInjectAbort) {
-      injected_abort(tc);
-    }
-    // SEEDED BUG (skip_cas_recheck): dropping the locator recheck lets a
-    // writer slip between the validation above and our use of `version`,
-    // so the read set is no longer a snapshot of one instant.
-    if (!config_.bugs.skip_cas_recheck &&
-        obj.loc_.load(std::memory_order_seq_cst) != l) {
-      continue;
-    }
-    // Ghost opacity oracle (checker builds only, under the schedule token
-    // so it cannot perturb exploration): the version about to be handed to
-    // the user must still be the committed one — no schedule point sits
-    // between the recheck above and the return, so a mismatch means the
-    // recheck was skipped (seeded skip_cas_recheck) or regressed and a
-    // writer slipped its commit into the validate→recheck window. Own
-    // acquisitions are exempt: they legitimately return the pre-acquire
-    // version via new_version while committed_view reports old_version.
-    if (config_.checker != nullptr && owner != me &&
-        committed_version(me, obj) != version) {
-      config_.checker->on_opacity_violation(
-          "open_read_invisible returned a version superseded before return");
-    }
-    // Own acquisitions are protected by ownership, not validation.
-    if (owner != me) {
-      const std::uint32_t idx = tc.invis_index_.find(&obj);
-      if (idx != InvisReadIndex::kNotFound) {
-        // Re-read: the set already covers this object; appending again
-        // would make R the read *count* and validation O(reads · R). The
-        // recorded version must match what we just resolved — validation
-        // (or the fast-path invariant) keeps the entry current and the
-        // recheck pinned `version` to the same instant, so a mismatch is a
-        // torn snapshot. Defense in depth: abort rather than assert.
-        if (tc.invis_reads_[idx].version != version) abort_self(tc);
-        tc.metrics_.dup_reads++;
-      } else {
-        tc.invis_index_.insert(&obj, static_cast<std::uint32_t>(tc.invis_reads_.size()));
-        tc.invis_reads_.push_back({&obj, version});
-      }
-    }
-    manager_->on_open(tc, *me);
-    return version;
-  }
-}
-
-Runtime::CommittedView Runtime::committed_view(TxDesc* me, TObjectBase& obj) const {
-  for (;;) {
-    Locator* l = obj.loc_.load(std::memory_order_seq_cst);
-    TxDesc* owner = l->owner;
-    if (owner == nullptr) return {l->new_version, false};
-    // If we acquired the object after reading it, the version we observed
-    // became our locator's old_version (clone-on-write keeps it in place).
-    if (owner == me) return {l->old_version, false};
-    const TxStatus st = owner->status.load(std::memory_order_acquire);
-    // A replacer may have swapped the locator between the two loads above
-    // (only possible once `owner` resolved, i.e. committed or aborted): the
-    // status we just read then describes a superseded locator generation,
-    // and pairing it with l's version pointers can report a version that
-    // was already replaced — re-read instead of relying on lucky ordering.
-    // No schedule point separates the two loads, so the serialized checker
-    // cannot pin this window; it is exercised by the real-thread churn tests
-    // (InvisibleReads.ReadersSeeConsistentPairsUnderChurn, under TSan in CI).
-    // The analogous validate->recheck window in open_read_invisible does
-    // have a point and is pinned by
-    // InvisibleChecker.CommitInValidateRecheckWindowIsCaught.
-    if (obj.loc_.load(std::memory_order_seq_cst) != l) continue;
-    if (st == TxStatus::kCommitted) return {l->new_version, false};
-    // An *active* owner leaves old_version current, but its commit CAS may
-    // land at any moment — flag it so an extension pass cannot claim a
-    // clock value whose bump belongs to this still-pending writer.
-    return {l->old_version, st == TxStatus::kActive};
-  }
-}
-
-void Runtime::validate_reads(ThreadCtx& tc) { validate_pass(tc); }
-
-bool Runtime::validate_pass(ThreadCtx& tc) {
-  TxDesc* me = tc.current_;
-  tc.metrics_.validations++;
-  tc.metrics_.validated_reads += tc.invis_reads_.size();
-  bool no_pending = true;
-  for (const auto& r : tc.invis_reads_) {
-    const CommittedView v = committed_view(me, *r.obj);
-    if (v.version != r.version) abort_self(tc);
-    no_pending &= !v.pending;
-  }
-  return no_pending;
-}
-
-void Runtime::validate_or_extend(ThreadCtx& tc) {
-  if (!snapshot_ext_on_) {
-    validate_pass(tc);
-    return;
-  }
-  const std::uint64_t clock = commit_clock_->load(std::memory_order_seq_cst);
-  if (clock == tc.snapshot_clock_) {
-    // Fast path: every successful write-commit bumps the clock before its
-    // status CAS, so an unchanged clock means no committed version anywhere
-    // has changed since the snapshot was validated (invariant I, DESIGN.md
-    // §5) — the pass would succeed and is skipped; this sample is the
-    // attempt's serialization instant.
-    tc.metrics_.validations_skipped++;
-    tc.metrics_.validation_saved_ns += tc.validate_pass_ewma_ns_;
-    if (config_.checker != nullptr) {
-      // Ghost check (checker builds only, under the schedule token): the
-      // skipped pass must have been guaranteed to succeed — a mismatch here
-      // is an opacity bug in the fast path itself, not in user schedules.
-      TxDesc* me = tc.current_;
-      for (const auto& r : tc.invis_reads_) {
-        if (committed_view(me, *r.obj).version != r.version) {
-          config_.checker->on_opacity_violation(
-              "snapshot fast path skipped a validation that would have failed");
-          break;
-        }
-      }
-    }
-    return;
-  }
-  // Extension pass (LSA/TL2-style): some write committed since the last
-  // pass, so validate the whole set once; on success it is a snapshot as of
-  // the sample above and the snapshot may advance to `clock` — unless a
-  // pending writer was seen: its bump may be the very advance we sampled
-  // with the commit CAS still in flight, and claiming `clock` would let
-  // that commit invalidate an entry while the clock appears unchanged.
-  const std::int64_t t0 = now_ns();
-  const bool no_pending = validate_pass(tc);
-  const std::int64_t pass_ns = now_ns() - t0;
-  tc.validate_pass_ewma_ns_ = tc.validate_pass_ewma_ns_ == 0
-                                  ? pass_ns
-                                  : (3 * tc.validate_pass_ewma_ns_ + pass_ns) / 4;
-  tc.metrics_.extensions++;
-  if (no_pending) tc.snapshot_clock_ = clock;
-  if (trace::Recorder* rec = config_.recorder) {
-    rec->record(tc.slot_, trace::EventKind::kSnapshotExtend, tc.current_->serial,
-                no_pending ? 1 : 0, trace::kNoEnemy,
-                static_cast<std::uint64_t>(tc.invis_reads_.size()), clock);
-  }
-}
-
 void* Runtime::dstm_open_write(ThreadCtx& tc, TObjectBase& obj) {
   TxDesc* me = tc.current_;
 
@@ -1040,8 +828,7 @@ void* Runtime::dstm_open_write(ThreadCtx& tc, TObjectBase& obj) {
 
     void* clone = obj.make_clone(tc.pool_, current);
     auto* fresh = new (util::Pool::allocate(tc.pool_, sizeof(Locator)))
-        Locator{me, current, clone, nullptr, obj.destroy_,
-                snapshot_ext_on_ ? commit_clock_->load(std::memory_order_relaxed) : 0};
+        Locator{me, current, clone, nullptr, obj.destroy_};
     me->add_ref();
     // SEEDED BUG (stale_reader_record): the reader record read before the
     // acquiring CAS misses every reader that announces, or installs the
@@ -1064,41 +851,32 @@ void* Runtime::dstm_open_write(ThreadCtx& tc, TObjectBase& obj) {
       // with it.
       l->dead_version = dead;
       tc.ebr_.retire(l, &Locator::reclaim);
-      tc.wrote_this_attempt_ = true;  // commit must bump the snapshot clock
-      if (config_.visible_reads) {
-        // Ghost oracle input (checker builds only, under the schedule token,
-        // so the CAS instant is this step): the readers announced now.
-        std::vector<const TxDesc*> announced;
-        if (config_.checker != nullptr) announced = announced_readers(tc, obj);
-        // SEEDED BUG (skip_reader_abort): acquiring without resolving the
-        // visible readers leaves them on snapshots this write supersedes.
-        if (!config_.bugs.skip_reader_abort) {
-          // The record pointer is loaded after the CAS (DESIGN.md §11.2).
-          resolve_readers(tc, obj,
-                          config_.bugs.stale_reader_record
-                              ? early_readers
-                              : obj.readers_.load(std::memory_order_seq_cst));
+      // Ghost oracle input (checker builds only, under the schedule token,
+      // so the CAS instant is this step): the readers announced now.
+      std::vector<const TxDesc*> announced;
+      if (config_.checker != nullptr) announced = announced_readers(tc, obj);
+      // SEEDED BUG (skip_reader_abort): acquiring without resolving the
+      // visible readers leaves them on snapshots this write supersedes.
+      if (!config_.bugs.skip_reader_abort) {
+        // The record pointer is loaded after the CAS (DESIGN.md §11.2).
+        resolve_readers(tc, obj,
+                        config_.bugs.stale_reader_record
+                            ? early_readers
+                            : obj.readers_.load(std::memory_order_seq_cst));
+      }
+      // The clone's base is a fresh observation: re-check our own status
+      // for the same reason as in dstm_open_read.
+      ensure_alive(tc);
+      // Every reader announced at the CAS must be resolved by now (aborted,
+      // or finished before we could abort it); one still running may hold
+      // a version this write supersedes.
+      for (const TxDesc* r : announced) {
+        if (r->is_active()) {
+          config_.checker->on_opacity_violation(
+              "a writer acquired an object and left a reader announced before its CAS "
+              "unresolved");
+          break;
         }
-        // The clone's base is a fresh observation: re-check our own status
-        // for the same reason as in dstm_open_read.
-        ensure_alive(tc);
-        // Every reader announced at the CAS must be resolved by now (aborted,
-        // or finished before we could abort it); one still running may hold
-        // a version this write supersedes.
-        for (const TxDesc* r : announced) {
-          if (r->is_active()) {
-            config_.checker->on_opacity_violation(
-                "a writer acquired an object and left a reader announced before its CAS "
-                "unresolved");
-            break;
-          }
-        }
-      } else {
-        // DSTM validates on every open: the clone's base (the replaced
-        // locator's committed version) is a fresh shared observation the
-        // user code is about to see, so the set + base must still be one
-        // snapshot.
-        validate_or_extend(tc);
       }
       manager_->on_open(tc, *me);
       return fresh->new_version;

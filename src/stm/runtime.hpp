@@ -55,73 +55,6 @@ namespace wstm::stm {
 /// it propagate out of the atomically() lambda.
 struct TxAbort {};
 
-/// Open-addressed pointer→index map, generation-stamped so the per-attempt
-/// reset is O(1) (no clearing); capacity persists across attempts, matching
-/// the log vectors' allocation discipline. Used by open_read_invisible to
-/// dedup re-reads and by the orec engine to index its read/write logs —
-/// keys are opaque pointers (TObjectBase* or orec-word addresses).
-class InvisReadIndex {
- public:
-  static constexpr std::uint32_t kNotFound = UINT32_MAX;
-
-  void reset() noexcept {
-    ++gen_;
-    size_ = 0;
-  }
-
-  /// Index of `obj` in the read set, or kNotFound when absent.
-  std::uint32_t find(const void* obj) const noexcept {
-    if (slots_.empty()) return kNotFound;
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = hash(obj) & mask;; i = (i + 1) & mask) {
-      const Slot& s = slots_[i];
-      if (s.gen != gen_) return kNotFound;  // empty in this generation
-      if (s.obj == obj) return s.idx;
-    }
-  }
-
-  /// Pre: `obj` is absent. `idx` is its position in the indexed log.
-  void insert(const void* obj, std::uint32_t idx) {
-    if (slots_.empty() || (size_ + 1) * 2 > slots_.size()) grow();
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = hash(obj) & mask;
-    while (slots_[i].gen == gen_) i = (i + 1) & mask;
-    slots_[i] = Slot{obj, idx, gen_};
-    ++size_;
-  }
-
- private:
-  struct Slot {
-    const void* obj;
-    std::uint32_t idx;
-    std::uint64_t gen;
-  };
-
-  static std::size_t hash(const void* obj) noexcept {
-    // Fibonacci hash over the pointer bits above the allocation alignment.
-    std::uint64_t v = reinterpret_cast<std::uintptr_t>(obj) >> 4;
-    v *= 0x9e3779b97f4a7c15ULL;
-    return static_cast<std::size_t>(v ^ (v >> 29));
-  }
-
-  void grow() {
-    std::vector<Slot> old = std::move(slots_);
-    // gen_ starts at 1, so zero-filled slots read as empty.
-    slots_.assign(old.empty() ? 64 : old.size() * 2, Slot{nullptr, 0, 0});
-    const std::size_t mask = slots_.size() - 1;
-    for (const Slot& s : old) {
-      if (s.gen != gen_) continue;
-      std::size_t i = hash(s.obj) & mask;
-      while (slots_[i].gen == gen_) i = (i + 1) & mask;
-      slots_[i] = s;
-    }
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t size_ = 0;
-  std::uint64_t gen_ = 1;
-};
-
 /// Per-OS-thread context. Obtain via Runtime::attach_thread(); not
 /// thread-safe, use only from the owning thread.
 class ThreadCtx {
@@ -159,22 +92,7 @@ class ThreadCtx {
   TxDesc* current_ = nullptr;
   std::uint64_t serial_ = 0;
   ThreadMetrics metrics_;
-  std::vector<TObjectBase*> read_set_;  // visible mode: objects with our bit
-  struct InvisRead {
-    TObjectBase* obj;
-    const void* version;  // committed version observed at open
-  };
-  std::vector<InvisRead> invis_reads_;  // invisible mode: validation set
-  InvisReadIndex invis_index_;          // dedup map over invis_reads_
-  // Snapshot-extension fast path (invisible mode; see DESIGN.md §5).
-  /// Commit-clock value as of this attempt's last full read-set validation:
-  /// clock still equal ⟹ every recorded version is still the committed one.
-  std::uint64_t snapshot_clock_ = 0;
-  /// Acquired at least one object this attempt → bump the clock on commit.
-  bool wrote_this_attempt_ = false;
-  /// EWMA of the measured extension-pass cost, feeding the
-  /// validation_saved_ns estimate for skipped passes.
-  std::int64_t validate_pass_ewma_ns_ = 0;
+  std::vector<TObjectBase*> read_set_;  // objects carrying our reader bit
   std::vector<TrackedAlloc> allocs_;
   std::vector<TrackedAlloc> commit_retires_;
   bool waited_this_attempt_ = false;
@@ -241,12 +159,12 @@ struct RuntimeConfig {
   std::uint64_t seed = 0x5eed;  // base seed for per-thread RNGs
 
   /// Execution engine (DESIGN.md §12). kDstm: eager obstruction-free
-  /// per-object locators — the paper's substrate, with the read-mode and
-  /// snapshot knobs below. kOrec: lazy TL2-style engine
-  /// (redo-log write buffering over a striped orec table, commit-time lock
-  /// acquisition, timestamp read-set validation against the same commit
-  /// clock). The CM family, liveness ladder, metrics, trace and checker
-  /// apply identically to both.
+  /// per-object locators with visible reads — the paper's substrate. kOrec:
+  /// lazy TL2-style engine (redo-log write buffering over a striped orec
+  /// table, commit-time lock acquisition, timestamp read-set validation
+  /// against a commit clock) and the only engine with invisible reads. The
+  /// CM family, liveness ladder, metrics, trace and checker apply
+  /// identically to both.
   BackendKind backend = BackendKind::kDstm;
 
   /// Conflict-arbitration mode (DESIGN.md §13). kAbort: the historical
@@ -273,29 +191,15 @@ struct RuntimeConfig {
   /// conflicts arise. 0 disables (the default; use 0 on real multicore).
   std::uint32_t preempt_yield_permille = 0;
 
-  /// Read mode, mirroring DSTM2's two options (the paper used visible):
-  ///  * visible (default): readers announce themselves in the per-object
-  ///    reader bitmap; writers abort them eagerly, no validation needed.
-  ///  * invisible: readers leave no trace; instead the read set
-  ///    (object, observed version) is re-validated on every subsequent
-  ///    open and at commit — O(R) per open, the classic DSTM trade-off.
-  ///    Writers never see readers, so read-write conflicts surface as the
-  ///    reader's own validation aborts.
+  /// Must be true; deleted when the benchmark next changes. DSTM reads are
+  /// always visible (the paper's mode); the Runtime constructor throws
+  /// std::invalid_argument on false. Invisible reads: backend = kOrec.
   bool visible_reads = true;
 
   /// Optional event recorder (non-owning; must outlive the Runtime). Null
   /// disables tracing: every instrumentation site then costs one
   /// predictable null-pointer branch. See trace/recorder.hpp.
   trace::Recorder* recorder = nullptr;
-
-  /// Invisible-read snapshot-extension fast path: a process-wide commit
-  /// clock (bumped by every successful write-commit) lets open_read skip
-  /// read-set validation while no write has committed since the attempt's
-  /// last full pass — amortized O(1) per open instead of O(R), the LSA/TL2
-  /// idea grafted onto the DSTM locator protocol (see DESIGN.md §5).
-  /// Ignored in visible mode. Off = validate on every open (the pre-clock
-  /// behavior), kept selectable so figures can A/B the pathology.
-  bool snapshot_ext = true;
 
   /// Optional deterministic-checker hook (non-owning; must outlive the
   /// Runtime). Null disables checking: every schedule point then costs one
@@ -315,9 +219,6 @@ struct RuntimeConfig {
     /// Visible reads: acquire without resolving the reader bitmap, letting
     /// announced readers keep stale snapshots (atomicity bug).
     bool skip_reader_abort = false;
-    /// Invisible reads: skip the locator recheck after read-set validation
-    /// in open_read, breaking the snapshot argument (opacity bug).
-    bool skip_cas_recheck = false;
     /// Orec backend: commit after lock acquisition WITHOUT the read-set
     /// timestamp validation, publishing writes derived from a snapshot that
     /// may already be stale (the classic TL2 validation invariant, broken
@@ -471,7 +372,6 @@ class Runtime {
 
   // DSTM (locator) protocol bodies, called by DstmBackend.
   const void* dstm_open_read(ThreadCtx& tc, TObjectBase& obj);
-  const void* dstm_open_read_invisible(ThreadCtx& tc, TObjectBase& obj);
   void* dstm_open_write(ThreadCtx& tc, TObjectBase& obj);
   bool dstm_commit(ThreadCtx& tc);
 
@@ -502,34 +402,6 @@ class Runtime {
   /// Acts on a kInjectAbort directive: marks the abort as injected (traced
   /// in the kAbort event detail) and unwinds via abort_self.
   [[noreturn]] void injected_abort(ThreadCtx& tc);
-
-  /// Invisible-read mode: the committed version of `obj` as of now, plus
-  /// whether an *active* owner was pending on it (its commit CAS may land
-  /// after a clock bump we already sampled — see validate_or_extend).
-  /// Re-loads the locator after the owner-status read and retries on change,
-  /// so a commit that lands between the two loads is never misread as the
-  /// old version. Never blocks.
-  struct CommittedView {
-    const void* version;
-    bool pending;
-  };
-  CommittedView committed_view(TxDesc* me, TObjectBase& obj) const;
-  /// CommittedView::version shorthand for callers without a pending check.
-  const void* committed_version(TxDesc* me, TObjectBase& obj) const {
-    return committed_view(me, obj).version;
-  }
-  /// Invisible-read mode: abort self unless every recorded read still
-  /// matches the object's current committed version.
-  void validate_reads(ThreadCtx& tc);
-  /// Snapshot-extension front end for validate_reads: skips the O(R) pass
-  /// while commit_clock_ still equals the attempt's validated snapshot,
-  /// otherwise runs one full extension pass and advances the snapshot —
-  /// unless a pending writer made the sampled clock value unclaimable.
-  void validate_or_extend(ThreadCtx& tc);
-  /// validate_reads body: one full pass over invis_reads_ (aborts self on
-  /// any mismatch), returning whether the whole set was free of pending
-  /// writers (the extension pass may only advance the snapshot if so).
-  bool validate_pass(ThreadCtx& tc);
 
   /// Shared open_read/open_write prologue: preemption emulation, liveness
   /// heartbeat (one now_ns, taken only when the watchdog consumes it), and
@@ -613,15 +485,11 @@ class Runtime {
   /// The execution engine (DstmBackend or OrecEngine per config_.backend),
   /// constructed once in the ctor; never null after construction.
   std::unique_ptr<Backend> backend_;
-  /// config_.snapshot_ext && !config_.visible_reads, cached so visible-mode
-  /// runs never touch the shared clock line. Forced off under the orec
-  /// backend (which validates against orec words, not locators).
-  bool snapshot_ext_on_ = false;
   ebr::Domain ebr_;
-  /// Process-wide commit clock, advanced by every successful write-commit
-  /// before its status CAS (both engines). All protocol-relevant accesses
-  /// are seq_cst — the opacity argument leans on the single total order over
-  /// {bump, reader clock sample, locator install/load}.
+  /// Process-wide commit clock of the orec engine: its read version rv is a
+  /// sample, and every write-commit takes its write version from one
+  /// seq_cst fetch_add before its status CAS (DESIGN.md §12). DSTM never
+  /// touches it: visible reads need no validation.
   CacheAligned<std::atomic<std::uint64_t>> commit_clock_{};
   std::array<CacheAligned<std::atomic<TxDesc*>>, kMaxThreads> current_tx_{};
   std::array<std::unique_ptr<ThreadCtx>, kMaxThreads> threads_{};

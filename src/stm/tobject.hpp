@@ -21,8 +21,8 @@
 // own status before every open" rule in the runtime this yields consistent
 // views without read-set validation (see DESIGN.md §5, §11). The record
 // lives out of line and is allocated by the object's first visible read, so
-// objects that are never read visibly (orec engine, invisible reads) stay
-// one cache line.
+// objects that are never read visibly (the orec engine's) stay one cache
+// line.
 #pragma once
 
 #include <atomic>
@@ -120,12 +120,6 @@ struct Locator {
   void* new_version;    // owner's private clone / the committed version
   void* dead_version;   // set by the replacer: the version that lost
   void (*destroy)(void*);
-  /// Commit-clock value at install time (0 for the initial locator and when
-  /// the snapshot-extension fast path is off). Diagnostics only: tells the
-  /// checker's opacity oracle and the trace how recent an acquisition is
-  /// relative to a reader's validated snapshot; never load-bearing for the
-  /// protocol itself.
-  std::uint64_t stamp;
 
   /// EBR deleter: frees the superseded version, drops the owner ref, and
   /// recycles the locator's block.
@@ -150,7 +144,7 @@ class alignas(kCacheLine) TObjectBase {
   TObjectBase(void* initial_version, CloneFn clone, DestroyFn destroy,
               std::uint32_t payload_size)
       : loc_(util::pool_new<Locator>(
-            nullptr, Locator{nullptr, nullptr, initial_version, nullptr, destroy, 0})),
+            nullptr, Locator{nullptr, nullptr, initial_version, nullptr, destroy})),
         clone_(clone),
         destroy_(destroy),
         payload_size_(payload_size) {}

@@ -51,9 +51,8 @@ struct ThreadStats {
   std::int64_t wasted_ns = 0;
   /// Wasted ns of *other* threads' aborted attempts this thread caused.
   std::int64_t caused_wasted_ns = 0;
-  /// Invisible-read snapshot extensions (kSnapshotExtend events) and the
-  /// read-set entries those passes re-validated — the residual O(R) cost
-  /// the commit-clock fast path did not skip.
+  /// Orec snapshot extensions (kSnapshotExtend events) and the read-set
+  /// entries those passes re-validated.
   std::uint64_t extensions = 0;
   std::uint64_t extension_reads = 0;
 };

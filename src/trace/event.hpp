@@ -60,10 +60,10 @@ enum class EventKind : std::uint8_t {
                     // 0 = released
   kChaos,           // chaos fault suffered: detail = ChaosInjector::Fault,
                     // a0 = injected sleep in microseconds
-  kSnapshotExtend,  // invisible-read extension pass (commit clock advanced
-                    // past the attempt's snapshot): a0 = read-set entries
+  kSnapshotExtend,  // orec extension pass (a read met a version younger
+                    // than the attempt's rv): a0 = read-set entries
                     // validated, a1 = sampled clock value; detail bit0 = 1
-                    // when the snapshot advanced (no pending writer seen)
+                    // when the snapshot advanced (always, on orec)
 
   // Serving front-end (src/serve/). kEnqueue is recorded in the producer's
   // ring (producers attach to the runtime for a slot when tracing),

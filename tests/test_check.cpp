@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -120,8 +121,6 @@ TEST(Schedule, TextRoundTrip) {
   s.config.structure = "rbtree";
   s.config.cm = "Adaptive-Dynamic";
   s.config.threads = 4;
-  s.config.visible_reads = false;
-  s.config.snapshot_ext = false;  // non-default: must survive the round-trip
   s.config.op_mix = "insert-heavy";
   s.config.seed = 0xabcdef;
   s.config.strategy = "pct";
@@ -140,8 +139,6 @@ TEST(Schedule, TextRoundTrip) {
   EXPECT_EQ(back.config.structure, s.config.structure);
   EXPECT_EQ(back.config.cm, s.config.cm);
   EXPECT_EQ(back.config.threads, s.config.threads);
-  EXPECT_EQ(back.config.visible_reads, s.config.visible_reads);
-  EXPECT_EQ(back.config.snapshot_ext, s.config.snapshot_ext);
   EXPECT_EQ(back.config.op_mix, s.config.op_mix);
   EXPECT_EQ(back.config.seed, s.config.seed);
   EXPECT_EQ(back.config.strategy, s.config.strategy);
@@ -165,7 +162,6 @@ TEST(Schedule, OldFilesWithoutNewKeysStillLoad) {
   const Schedule s = check::schedule_from_text(old_text);
   EXPECT_DOUBLE_EQ(s.config.faults.p_stall_any, 0.0);
   EXPECT_FALSE(s.config.liveness);
-  EXPECT_TRUE(s.config.snapshot_ext);  // pre-snapshot_ext files get the default
   EXPECT_EQ(s.decisions.size(), 1u);
 }
 
@@ -186,9 +182,33 @@ TEST(Schedule, DeferredClockKeyIsRefusedOnlyWhenOn) {
     EXPECT_NE(what.find("removed deferred commit clock"), std::string::npos) << what;
     EXPECT_NE(what.find("re-record"), std::string::npos) << what;
   }
-  Schedule s;
-  s.config.visible_reads = false;
-  EXPECT_EQ(check::to_text(s).find("deferred_clock"), std::string::npos);
+  EXPECT_EQ(check::to_text(Schedule{}).find("deferred_clock"), std::string::npos);
+}
+
+TEST(Schedule, VisibleReadsKeyIsRefusedOnlyWhenOff) {
+  // DSTM invisible reads are gone: a file is replayable when the key is
+  // absent or 1, and refused when it is 0 (that run took the validation
+  // path). snapshot_ext only acted on invisible reads and is ignored. New
+  // files carry neither key.
+  const std::string head = "wstm-schedule v1\nstructure list\ncm Polka\nthreads 2\n";
+  EXPECT_EQ(check::schedule_from_text(head + "g 0 B p\n").decisions.size(), 1u);
+  EXPECT_EQ(check::schedule_from_text(head + "visible_reads 1\nsnapshot_ext 1\ng 0 B p\n")
+                .decisions.size(),
+            1u);
+  EXPECT_EQ(check::schedule_from_text(head + "visible_reads 1\nsnapshot_ext 0\ng 0 B p\n")
+                .decisions.size(),
+            1u);
+  try {
+    check::schedule_from_text(head + "visible_reads 0\nsnapshot_ext 1\ng 0 B p\n");
+    FAIL() << "a DSTM invisible-read schedule was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("removed DSTM invisible-read mode"), std::string::npos) << what;
+    EXPECT_NE(what.find("re-record"), std::string::npos) << what;
+  }
+  const std::string text = check::to_text(Schedule{});
+  EXPECT_EQ(text.find("visible_reads"), std::string::npos);
+  EXPECT_EQ(text.find("snapshot_ext"), std::string::npos);
 }
 
 TEST(Schedule, RejectsMalformedText) {
@@ -323,6 +343,23 @@ TEST(CheckerSeededBug, FindsStaleReaderRecordWithinBudget) {
   EXPECT_TRUE(sr.still_fails);
   EXPECT_LE(sr.schedule.decisions.size(), er.first_violation.schedule.decisions.size());
   EXPECT_TRUE(checker.replay(sr.schedule).violation) << "shrunk schedule lost the failure";
+}
+
+// skip-cas-recheck seeded a bug in the removed DSTM invisible-read path; the
+// name is refused, and the error lists the seeded bugs that remain.
+TEST(CheckerSeededBug, RemovedSkipCasRecheckIsRejected) {
+  CheckConfig c = small_config();
+  c.bug = "skip-cas-recheck";
+  try {
+    Checker(c).run_once(1);
+    FAIL() << "skip-cas-recheck was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    for (const char* bug : {"blind-commit", "skip-reader-abort", "stale-reader-record",
+                            "skip-read-validation", "park-lost-wakeup"}) {
+      EXPECT_NE(what.find(bug), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(CheckerSeededBug, CleanProtocolSurvivesSameBudget) {

@@ -6,8 +6,9 @@
 // locator-CAS failures; the linearizability oracle then checks the observed
 // history against sequential set semantics (witnesses are re-verified through
 // SequentialSet itself) and the final contents against quiescent_elements().
-// Both read modes are covered: visible (reader bitmaps) and invisible
-// (validation sets) take different abort paths under injection.
+// Both engines are covered: DSTM (eager locators, visible reader records)
+// and orec (redo logs, commit-time locks, read-set validation) take
+// different abort paths under injection.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -20,13 +21,13 @@ using wstm::check::CheckConfig;
 using wstm::check::Checker;
 using wstm::check::ExploreResult;
 
-class DiffTest : public ::testing::TestWithParam<std::tuple<std::string, bool>> {};
+class DiffTest : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
 
 TEST_P(DiffTest, MatchesSequentialSetUnderForcedAborts) {
-  const auto& [structure, visible] = GetParam();
+  const auto& [structure, backend] = GetParam();
   CheckConfig c;
   c.structure = structure;
-  c.visible_reads = visible;
+  c.backend = backend;
   c.threads = 3;
   c.ops_per_thread = 10;
   c.key_range = 12;
@@ -44,7 +45,7 @@ TEST_P(DiffTest, MatchesSequentialSetUnderForcedAborts) {
   c.faults.stall_steps = 12;
   Checker checker(c);
   const ExploreResult er = checker.explore(/*num_schedules=*/4, /*stop_on_violation=*/true);
-  EXPECT_EQ(er.violations, 0u) << structure << (visible ? " visible" : " invisible") << ":\n"
+  EXPECT_EQ(er.violations, 0u) << structure << " " << backend << ":\n"
                                << er.first_violation.diagnosis;
   EXPECT_EQ(er.schedules_run, 4u);
 }
@@ -52,9 +53,10 @@ TEST_P(DiffTest, MatchesSequentialSetUnderForcedAborts) {
 INSTANTIATE_TEST_SUITE_P(
     Structures, DiffTest,
     ::testing::Combine(::testing::Values("rbtree", "skiplist", "hashtable", "list"),
-                       ::testing::Values(true, false)),
+                       ::testing::Values("dstm", "orec")),
     [](const ::testing::TestParamInfo<DiffTest::ParamType>& info) {
-      return std::get<0>(info.param) + (std::get<1>(info.param) ? "Visible" : "Invisible");
+      const std::string& backend = std::get<1>(info.param);
+      return std::get<0>(info.param) + (backend == "orec" ? "Orec" : "Dstm");
     });
 
 }  // namespace

@@ -48,21 +48,6 @@ TEST(OrecChecker, WindowVariantDecisionsAreDeterministic) {
   }
 }
 
-// The orec engine ignores the visible_reads flag (its reads are always
-// timestamp-validated). Flipping the flag must change nothing at all.
-TEST(OrecChecker, VisibleReadsFlagIsInertOnOrec) {
-  CheckConfig vis = orec_check_config("Adaptive-Improved");
-  vis.visible_reads = true;
-  CheckConfig invis = vis;
-  invis.visible_reads = false;
-  const RunResult a = Checker(vis).run_once(2);
-  const RunResult b = Checker(invis).run_once(2);
-  EXPECT_FALSE(a.violation) << a.diagnosis;
-  EXPECT_EQ(a.schedule.decisions, b.schedule.decisions);
-  EXPECT_EQ(a.metrics.commits, b.metrics.commits);
-  EXPECT_EQ(a.metrics.aborts, b.metrics.aborts);
-}
-
 // Clean-protocol exploration across all six window variants: zero oracle
 // violations (linearizability against the ghost sequential set AND the
 // engine's own opacity ghost check in open_read), and the new schedule

@@ -1,13 +1,16 @@
-// Invisible-read mode tests: DSTM-style read-set validation instead of
-// visible reader bitmaps (DSTM2's other read mode; the paper used visible).
+// Invisible reads: the orec engine is the one invisible-read engine (DSTM
+// reads are always visible, the mode the paper used). Engine-agnostic
+// invisible-read properties run here on orec; the protocol-specific cases
+// (extension, torn snapshots, the commit path) live in test_orec.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "check/checker.hpp"
 #include "cm/registry.hpp"
 #include "stm/runtime.hpp"
 #include "structs/intset.hpp"
@@ -19,77 +22,29 @@ namespace {
 
 std::unique_ptr<Runtime> make_invisible_runtime(const std::string& cm = "Polka",
                                                 unsigned threads = 4,
-                                                std::uint32_t preempt = 0,
-                                                bool snapshot_ext = true) {
+                                                std::uint32_t preempt = 0) {
   cm::Params params;
   params.threads = threads;
   RuntimeConfig cfg;
-  cfg.visible_reads = false;
+  cfg.backend = BackendKind::kOrec;
   cfg.preempt_yield_permille = preempt;
-  cfg.snapshot_ext = snapshot_ext;
   return std::make_unique<Runtime>(cm::make_manager(cm, params), cfg);
 }
 
-TEST(InvisibleReads, BasicReadWriteCommit) {
-  auto rt = make_invisible_runtime();
-  ThreadCtx& tc = rt->attach_thread();
-  TObject<long> obj(10);
-  const long v = rt->atomically(tc, [&](Tx& tx) { return *obj.open_read(tx); });
-  EXPECT_EQ(v, 10);
-  rt->atomically(tc, [&](Tx& tx) { *obj.open_write(tx) = 20; });
-  EXPECT_EQ(*obj.peek(), 20);
-}
-
-TEST(InvisibleReads, UpgradeKeepsReadValid) {
-  auto rt = make_invisible_runtime();
-  ThreadCtx& tc = rt->attach_thread();
-  TObject<long> obj(1);
-  rt->atomically(tc, [&](Tx& tx) {
-    EXPECT_EQ(*obj.open_read(tx), 1);
-    *obj.open_write(tx) = 2;  // acquire after reading: must not self-abort
-    EXPECT_EQ(*obj.open_read(tx), 2);
-  });
-  EXPECT_EQ(*obj.peek(), 2);
-  EXPECT_EQ(rt->total_metrics().aborts, 0u);
-}
-
-TEST(InvisibleReads, StaleReadIsDetectedAtNextOpen) {
-  auto rt = make_invisible_runtime("Aggressive", 2);
-  TObject<long> x(0);
-  TObject<long> y(0);
-
-  std::atomic<bool> reader_read_x{false};
-  std::atomic<bool> writer_done{false};
-  std::atomic<int> reader_attempts{0};
-
-  std::thread reader([&] {
-    ThreadCtx& tc = rt->attach_thread();
-    const auto pair = rt->atomically(tc, [&](Tx& tx) {
-      const int attempt = reader_attempts.fetch_add(1, std::memory_order_acq_rel);
-      const long a = *x.open_read(tx);
-      if (attempt == 0) {
-        reader_read_x.store(true, std::memory_order_release);
-        while (!writer_done.load(std::memory_order_acquire)) std::this_thread::yield();
-      }
-      const long b = *y.open_read(tx);  // validation must kill attempt 0 here
-      return std::pair<long, long>(a, b);
-    });
-    EXPECT_EQ(pair.first, pair.second);  // never a torn (old, new) view
-    EXPECT_EQ(pair.first, 7);
-  });
-
-  while (!reader_read_x.load(std::memory_order_acquire)) std::this_thread::yield();
-  {
-    ThreadCtx& tc = rt->attach_thread();
-    rt->atomically(tc, [&](Tx& tx) {
-      *x.open_write(tx) = 7;
-      *y.open_write(tx) = 7;
-    });
-    rt->detach_thread(tc);
+// visible_reads = false used to select DSTM invisible reads; that mode is
+// gone, and the constructor says where invisible reads live now.
+TEST(InvisibleReads, RuntimeRefusesVisibleReadsOff) {
+  for (const BackendKind backend : {BackendKind::kDstm, BackendKind::kOrec}) {
+    RuntimeConfig cfg;
+    cfg.backend = backend;
+    cfg.visible_reads = false;
+    try {
+      Runtime rt(cm::make_manager("Polka", cm::Params{}), cfg);
+      ADD_FAILURE() << backend_name(backend) << ": visible_reads = false was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("kOrec"), std::string::npos) << e.what();
+    }
   }
-  writer_done.store(true, std::memory_order_release);
-  reader.join();
-  EXPECT_GE(reader_attempts.load(), 2);  // first attempt failed validation
 }
 
 TEST(InvisibleReads, ReadersSeeConsistentPairsUnderChurn) {
@@ -165,40 +120,37 @@ TEST(InvisibleReads, ConcurrentCounterHasNoLostUpdates) {
   EXPECT_EQ(*counter.peek(), static_cast<long>(kThreads) * kIncrements);
 }
 
-// ---- commit-clock snapshot extension ---------------------------------------
+// ---- validation cost --------------------------------------------------------
 
-// The O(R^2) pathology fix: a transaction reading N distinct objects must not
-// run a full read-set validation on every open. With the fast path the clock
-// never moves (no concurrent writer), so every open skips its pass; with it
-// off, every open pays one (the original validate-on-every-open behavior).
+// A transaction reading N distinct objects must not run a read-set
+// validation on every open (that is O(N^2) per transaction). With no
+// concurrent writer no read meets a version younger than rv, so a read-only
+// transaction validates never and a writing one exactly once, at commit.
 TEST(InvisibleSnapshot, ValidationCostIsAmortizedO1) {
   constexpr int kReads = 64;
-  for (const bool ext : {true, false}) {
-    auto rt = make_invisible_runtime("Polka", 1, /*preempt=*/0, ext);
-    ThreadCtx& tc = rt->attach_thread();
-    std::vector<std::unique_ptr<TObject<long>>> objs;
-    for (int i = 0; i < kReads; ++i) objs.push_back(std::make_unique<TObject<long>>(i));
-    long sum = 0;
-    rt->atomically(tc, [&](Tx& tx) {
-      sum = 0;
-      for (const auto& o : objs) sum += *o->open_read(tx);
-    });
-    EXPECT_EQ(sum, kReads * (kReads - 1) / 2);
-    const ThreadMetrics m = rt->total_metrics();
-    if (ext) {
-      // kReads opens + the commit-point check, all skipped: the clock never
-      // advanced past the begin snapshot. O(distinct objects) total work.
-      EXPECT_EQ(m.validations, 0u);
-      EXPECT_EQ(m.validated_reads, 0u);
-      EXPECT_EQ(m.validations_skipped, static_cast<std::uint64_t>(kReads) + 1);
-    } else {
-      // One full pass per open + one at commit; entries validated grow
-      // quadratically with the read set: the pathology this PR fixes.
-      EXPECT_EQ(m.validations, static_cast<std::uint64_t>(kReads) + 1);
-      EXPECT_GE(m.validated_reads,
-                static_cast<std::uint64_t>(kReads) * (kReads - 1) / 2);
-    }
-  }
+  auto rt = make_invisible_runtime("Polka", 1);
+  ThreadCtx& tc = rt->attach_thread();
+  std::vector<std::unique_ptr<TObject<long>>> objs;
+  for (int i = 0; i < kReads; ++i) objs.push_back(std::make_unique<TObject<long>>(i));
+  TObject<long> sink(0);
+  const long sum = rt->atomically(tc, [&](Tx& tx) {
+    long s = 0;
+    for (const auto& o : objs) s += *o->open_read(tx);
+    return s;
+  });
+  EXPECT_EQ(sum, kReads * (kReads - 1) / 2);
+  EXPECT_EQ(rt->total_metrics().validations, 0u);
+  EXPECT_EQ(rt->total_metrics().validated_reads, 0u);
+
+  rt->atomically(tc, [&](Tx& tx) {
+    long s = 0;
+    for (const auto& o : objs) s += *o->open_read(tx);
+    *sink.open_write(tx) = s;
+  });
+  const ThreadMetrics m = rt->total_metrics();
+  EXPECT_EQ(m.validations, 1u);
+  EXPECT_LE(m.validated_reads, static_cast<std::uint64_t>(kReads) + 1);
+  EXPECT_EQ(m.aborts, 0u);
 }
 
 // Re-reading an object must not append a second read-set entry (that would
@@ -206,147 +158,24 @@ TEST(InvisibleSnapshot, ValidationCostIsAmortizedO1) {
 // recorded at first read.
 TEST(InvisibleSnapshot, DuplicateReadsAreDeduped) {
   constexpr int kRereads = 16;
-  for (const bool ext : {true, false}) {
-    auto rt = make_invisible_runtime("Polka", 1, /*preempt=*/0, ext);
-    ThreadCtx& tc = rt->attach_thread();
-    TObject<long> obj(42);
-    rt->atomically(tc, [&](Tx& tx) {
-      const long* first = obj.open_read(tx);
-      for (int i = 1; i < kRereads; ++i) {
-        EXPECT_EQ(obj.open_read(tx), first);  // same committed version object
-      }
-    });
-    const ThreadMetrics m = rt->total_metrics();
-    EXPECT_EQ(m.dup_reads, static_cast<std::uint64_t>(kRereads) - 1);
-    if (!ext) {
-      // Every pass sees exactly one entry, never kRereads of them.
-      EXPECT_EQ(m.validated_reads, static_cast<std::uint64_t>(kRereads));
+  auto rt = make_invisible_runtime("Polka", 1);
+  ThreadCtx& tc = rt->attach_thread();
+  TObject<long> obj(42);
+  TObject<long> sink(0);
+  rt->atomically(tc, [&](Tx& tx) {
+    const long* first = obj.open_read(tx);
+    for (int i = 1; i < kRereads; ++i) {
+      EXPECT_EQ(obj.open_read(tx), first);  // same committed version object
     }
-    EXPECT_EQ(m.aborts, 0u);
-  }
-}
-
-// A remote write-commit advances the clock, so the reader's next open runs
-// one full extension pass (not an abort: the read set is still valid) and
-// adopts the new snapshot.
-TEST(InvisibleSnapshot, RemoteCommitForcesOneExtensionPass) {
-  auto rt = make_invisible_runtime("Polka", 2);
-  TObject<long> x(3);
-  TObject<long> y(0);
-
-  std::atomic<bool> reader_read_x{false};
-  std::atomic<bool> writer_done{false};
-
-  std::thread reader([&] {
-    ThreadCtx& tc = rt->attach_thread();
-    const auto pair = rt->atomically(tc, [&](Tx& tx) {
-      const long a = *x.open_read(tx);
-      if (!reader_read_x.exchange(true, std::memory_order_acq_rel)) {
-        while (!writer_done.load(std::memory_order_acquire)) std::this_thread::yield();
-      }
-      const long b = *y.open_read(tx);  // clock moved: extension pass here
-      return std::pair<long, long>(a, b);
-    });
-    EXPECT_EQ(pair.first, 3);
-    EXPECT_EQ(pair.second, 7);
+    *sink.open_write(tx) = *first;  // forces the commit-time validation
   });
-
-  while (!reader_read_x.load(std::memory_order_acquire)) std::this_thread::yield();
-  {
-    ThreadCtx& tc = rt->attach_thread();
-    rt->atomically(tc, [&](Tx& tx) { *y.open_write(tx) = 7; });  // x untouched
-    rt->detach_thread(tc);
-  }
-  writer_done.store(true, std::memory_order_release);
-  reader.join();
-
   const ThreadMetrics m = rt->total_metrics();
-  EXPECT_EQ(m.aborts, 0u);  // the pass extends; it must not kill the reader
-  EXPECT_GE(m.extensions, 1u);
-}
-
-// ---- deterministic-checker coverage ----------------------------------------
-
-check::CheckConfig invisible_check_config(const std::string& cm) {
-  check::CheckConfig c;
-  c.threads = 3;
-  c.ops_per_thread = 16;
-  c.key_range = 16;
-  c.window_n = 6;
-  c.cm = cm;
-  c.visible_reads = false;
-  c.seed = 12345;
-  return c;
-}
-
-// The fast path must be behavior-neutral: with the same policy seed, ext
-// on and ext off take the same scheduling decisions and commit the same
-// history, across all six window variants. (A skipped pass would have
-// succeeded anyway — invariant I in DESIGN.md §5 — so no branch differs.)
-TEST(InvisibleChecker, SnapshotExtensionIsBehaviorNeutral) {
-  for (const char* cm :
-       {"Online", "Online-Dynamic", "Adaptive", "Adaptive-Dynamic", "Adaptive-Improved",
-        "Adaptive-Improved-Dynamic"}) {
-    check::CheckConfig on = invisible_check_config(cm);
-    on.snapshot_ext = true;
-    check::CheckConfig off = on;
-    off.snapshot_ext = false;
-    for (const std::uint64_t policy_seed : {1u, 2u, 3u}) {
-      const check::RunResult a = check::Checker(on).run_once(policy_seed);
-      const check::RunResult b = check::Checker(off).run_once(policy_seed);
-      EXPECT_FALSE(a.violation) << cm << ": " << a.diagnosis;
-      EXPECT_FALSE(b.violation) << cm << ": " << b.diagnosis;
-      EXPECT_EQ(a.schedule.decisions, b.schedule.decisions) << cm;
-      EXPECT_EQ(a.metrics.commits, b.metrics.commits) << cm;
-      EXPECT_EQ(a.metrics.aborts, b.metrics.aborts) << cm;
-      // The runs are identical except that ext replaced full passes with
-      // skip-checks; the off run must never validate less.
-      EXPECT_GT(a.metrics.validations_skipped, 0u) << cm;
-      EXPECT_EQ(b.metrics.validations_skipped, 0u) << cm;
-      EXPECT_GE(b.metrics.validated_reads, a.metrics.validated_reads) << cm;
-    }
-  }
-}
-
-// Random-schedule exploration with snapshot extension on stays clean for
-// every window variant: the ghost opacity oracle (a skipped pass that would
-// have failed) and the history oracle stay silent.
-TEST(InvisibleChecker, SixVariantExploreIsClean) {
-  for (const char* cm :
-       {"Online", "Online-Dynamic", "Adaptive", "Adaptive-Dynamic", "Adaptive-Improved",
-        "Adaptive-Improved-Dynamic"}) {
-    const check::ExploreResult er = check::Checker(invisible_check_config(cm)).explore(10);
-    EXPECT_EQ(er.violations, 0u) << cm << ": " << er.first_violation.diagnosis;
-  }
-}
-
-// The validate->recheck window in open_read_invisible has a schedule point,
-// so the checker can drive a writer's commit exactly between a successful
-// validation and the locator recheck. With the recheck seeded out
-// (skip-cas-recheck) the ghost opacity oracle must catch the torn snapshot
-// within the CI budget, and the pinned schedule must replay to the same
-// verdict; the clean protocol must survive the identical budget.
-TEST(InvisibleChecker, CommitInValidateRecheckWindowIsCaught) {
-  // Aggressive has no wait slices: Polka-style karma waits burn real time
-  // while holding the executor token, which makes a clean 40-schedule
-  // budget take minutes in invisible mode (same reason CheckerFaults uses
-  // it). The seeded bug is manager-independent, so nothing is lost.
-  check::CheckConfig c = invisible_check_config("Aggressive");
-  c.snapshot_ext = true;
-  c.bug = "skip-cas-recheck";
-  check::Checker buggy(c);
-  const check::ExploreResult er = buggy.explore(40);
-  ASSERT_GE(er.violations, 1u);
-  EXPECT_NE(er.first_violation.diagnosis.find("opacity"), std::string::npos)
-      << er.first_violation.diagnosis;
-
-  check::Checker replayer(er.first_violation.schedule.config);
-  const check::RunResult again = replayer.replay(er.first_violation.schedule);
-  EXPECT_EQ(again.divergences, 0u);
-  EXPECT_TRUE(again.violation);
-
-  c.bug = "none";
-  EXPECT_EQ(check::Checker(c).explore(40).violations, 0u);
+  EXPECT_EQ(m.dup_reads, static_cast<std::uint64_t>(kRereads) - 1);
+  // The commit pass sees obj once and the sink's base once, never kRereads
+  // entries for obj.
+  EXPECT_EQ(m.validations, 1u);
+  EXPECT_EQ(m.validated_reads, 2u);
+  EXPECT_EQ(m.aborts, 0u);
 }
 
 }  // namespace

@@ -37,18 +37,14 @@ void add_config_flags(wstm::Cli& cli, const CheckConfig& d) {
   cli.add_flag("ops", "operations per thread", static_cast<std::int64_t>(d.ops_per_thread));
   cli.add_flag("key-range", "keys drawn from [0, key-range); max 64",
                static_cast<std::int64_t>(d.key_range));
-  cli.add_flag("backend", "execution engine: dstm (eager locator) | orec (lazy TL2-style)",
+  cli.add_flag("backend",
+               "execution engine: dstm (eager locator, visible reads) | orec (lazy "
+               "TL2-style, invisible reads)",
                d.backend);
   cli.add_flag("arbitration",
                "conflict arbitration: abort (requester-wins/aborts) | wait "
                "(requester parks on the enemy; adds kPark/kUnpark points)",
                d.arbitration);
-  cli.add_flag("visible-reads", "visible (true) or invisible (false) read mode",
-               d.visible_reads);
-  cli.add_flag("snapshot-ext",
-               "commit-clock snapshot-extension fast path for invisible reads "
-               "(off = validate the read set on every open)",
-               d.snapshot_ext);
   cli.add_flag("op-mix", "op mix: default|insert-heavy", d.op_mix);
   cli.add_flag("update-percent", "percent of single-key ops that write",
                static_cast<std::int64_t>(d.update_percent));
@@ -76,8 +72,8 @@ void add_config_flags(wstm::Cli& cli, const CheckConfig& d) {
                d.liveness);
   cli.add_flag("bug",
                "seeded protocol bug: none|blind-commit|skip-reader-abort|"
-               "skip-cas-recheck|skip-read-validation (orec)|"
-               "park-lost-wakeup (arbitration=wait)|stale-reader-record",
+               "skip-read-validation (orec)|park-lost-wakeup (arbitration=wait)|"
+               "stale-reader-record",
                d.bug);
 }
 
@@ -90,8 +86,6 @@ CheckConfig config_from_cli(const wstm::Cli& cli) {
   c.key_range = cli.get_int("key-range");
   c.backend = cli.get_string("backend");
   c.arbitration = cli.get_string("arbitration");
-  c.visible_reads = cli.get_bool("visible-reads");
-  c.snapshot_ext = cli.get_bool("snapshot-ext");
   c.op_mix = cli.get_string("op-mix");
   c.update_percent = static_cast<std::uint32_t>(cli.get_int("update-percent"));
   c.pair_percent = static_cast<std::uint32_t>(cli.get_int("pair-percent"));
