@@ -1,8 +1,8 @@
 // Scaling matrix for the process-wide hot-spot work (DESIGN.md §11): one
-// closed-loop write-heavy run per M ∈ {2,4,8,16,32,64}, on invisible reads
-// + snapshot extension so the commit clock (one bump per write-commit) is
-// actually exercised. Each row reports throughput and the shared-line
-// contention counters (clock_bumps, reader_stripe_retries, ebr_shard_syncs).
+// closed-loop write-heavy run per M ∈ {2,4,8,16,32,64}, on the orec engine
+// so the commit clock (one bump per write-commit) is actually exercised.
+// Each row reports throughput and the shared-line contention counters
+// (clock_bumps, ebr_shard_syncs).
 //
 // --json=BENCH_scaling.json writes a machine-readable report gated in CI by
 // tools/check_bench.py --mode scaling: per-row validation and attempt
@@ -29,7 +29,6 @@ struct Row {
   std::uint64_t commits = 0;
   std::uint64_t aborts = 0;
   std::uint64_t clock_bumps = 0;
-  std::uint64_t reader_stripe_retries = 0;
   std::uint64_t ebr_shard_syncs = 0;
   bool valid = true;
 };
@@ -55,7 +54,6 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
         << "\", \"throughput_per_s\": " << r.throughput_per_s
         << ", \"attempts\": " << r.attempts << ", \"commits\": " << r.commits
         << ", \"aborts\": " << r.aborts << ", \"clock_bumps\": " << r.clock_bumps
-        << ", \"reader_stripe_retries\": " << r.reader_stripe_retries
         << ", \"ebr_shard_syncs\": " << r.ebr_shard_syncs
         << ", \"valid\": " << (r.valid ? "true" : "false") << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
@@ -93,7 +91,7 @@ int main(int argc, char** argv) {
             << update_percent << "% updates, " << cm_name
             << ", orec engine ==\n\n";
 
-  Table table({"M", "commits/s", "aborts/commit", "clock_bumps", "stripe_retries", "ebr_syncs"});
+  Table table({"M", "commits/s", "aborts/commit", "clock_bumps", "ebr_syncs"});
   std::vector<Row> rows;
   bool all_valid = true;
 
@@ -116,7 +114,6 @@ int main(int argc, char** argv) {
     row.aborts = r.totals.aborts;
     row.attempts = r.totals.commits + r.totals.aborts;
     row.clock_bumps = r.totals.clock_bumps;
-    row.reader_stripe_retries = r.totals.reader_stripe_retries;
     row.ebr_shard_syncs = r.totals.ebr_shard_syncs;
     row.valid = r.valid;
     if (!r.valid) {
@@ -128,7 +125,6 @@ int main(int argc, char** argv) {
 
     table.add_row({std::to_string(m), Table::num(row.throughput_per_s, 0),
                    Table::num(r.summary.aborts_per_commit, 3), std::to_string(row.clock_bumps),
-                   std::to_string(row.reader_stripe_retries),
                    std::to_string(row.ebr_shard_syncs)});
   }
 

@@ -18,6 +18,7 @@
 #include "structs/intset.hpp"
 #include "util/affinity.hpp"
 #include "util/rng.hpp"
+#include "util/timing.hpp"
 
 // ------------------------------------------------- allocation interposer --
 // Replacing the global operator new/delete lets the alloc-pressure benches
@@ -78,23 +79,46 @@ namespace {
 using namespace wstm;
 
 struct Fixture {
-  explicit Fixture(const std::string& cm_name = "Polka") {
+  explicit Fixture(const std::string& cm_name = "Polka",
+                   stm::BackendKind backend = stm::BackendKind::kDstm) {
     cm::Params params;
     params.threads = 2;
-    rt = std::make_unique<stm::Runtime>(cm::make_manager(cm_name, params));
+    stm::RuntimeConfig cfg;
+    cfg.backend = backend;
+    rt = std::make_unique<stm::Runtime>(cm::make_manager(cm_name, params), cfg);
     tc = &rt->attach_thread();
   }
   std::unique_ptr<stm::Runtime> rt;
   stm::ThreadCtx* tc;
 };
 
-void BM_EmptyTransaction(benchmark::State& state) {
-  Fixture f;
+// One steady-clock read: the unit the attempt shell saves by timing only the
+// transactions that need a stamp.
+void BM_ClockRead(benchmark::State& state) {
+  for (auto _ : state) benchmark::DoNotOptimize(now_ns());
+}
+BENCHMARK(BM_ClockRead);
+
+// The fixed cost of an attempt: begin (EBR pin, descriptor publish) and
+// cleanup with no opens. Polka never compares stamps, so only one logical
+// transaction in Runtime::kTimedSampleEvery reads the clock; Greedy orders
+// by age and stamps every one. timed_commits_per_commit shows which.
+void BM_EmptyTransaction(benchmark::State& state, const char* cm_name,
+                         stm::BackendKind backend) {
+  Fixture f(cm_name, backend);
   for (auto _ : state) {
     f.rt->atomically(*f.tc, [](stm::Tx&) {});
   }
+  const stm::ThreadMetrics totals = f.rt->total_metrics();
+  state.counters["timed_commits_per_commit"] =
+      totals.commits > 0 ? static_cast<double>(totals.timed_commits) /
+                               static_cast<double>(totals.commits)
+                         : 0.0;
 }
-BENCHMARK(BM_EmptyTransaction);
+BENCHMARK_CAPTURE(BM_EmptyTransaction, Polka/dstm, "Polka", stm::BackendKind::kDstm);
+BENCHMARK_CAPTURE(BM_EmptyTransaction, Polka/orec, "Polka", stm::BackendKind::kOrec);
+BENCHMARK_CAPTURE(BM_EmptyTransaction, Greedy/dstm, "Greedy", stm::BackendKind::kDstm);
+BENCHMARK_CAPTURE(BM_EmptyTransaction, Greedy/orec, "Greedy", stm::BackendKind::kOrec);
 
 void BM_ReadOneObject(benchmark::State& state) {
   Fixture f;

@@ -30,6 +30,7 @@ namespace wstm::cm {
 class Polka final : public ContentionManager {
  public:
   std::string name() const override { return "Polka"; }
+  bool orders_by_age() const override { return false; }
   stm::Resolution resolve(stm::ThreadCtx& self, stm::TxDesc& tx, stm::TxDesc& enemy,
                           stm::ConflictKind kind) override;
   void on_begin(stm::ThreadCtx& self, stm::TxDesc& tx, bool is_retry) override;
@@ -60,6 +61,7 @@ class Priority final : public ContentionManager {
 class Aggressive final : public ContentionManager {
  public:
   std::string name() const override { return "Aggressive"; }
+  bool orders_by_age() const override { return false; }
   stm::Resolution resolve(stm::ThreadCtx& self, stm::TxDesc& tx, stm::TxDesc& enemy,
                           stm::ConflictKind kind) override;
 };
@@ -70,6 +72,7 @@ class RandomizedRounds final : public ContentionManager {
   explicit RandomizedRounds(std::uint32_t threads) : threads_(threads) {}
 
   std::string name() const override { return "RandomizedRounds"; }
+  bool orders_by_age() const override { return false; }
   stm::Resolution resolve(stm::ThreadCtx& self, stm::TxDesc& tx, stm::TxDesc& enemy,
                           stm::ConflictKind kind) override;
   void on_begin(stm::ThreadCtx& self, stm::TxDesc& tx, bool is_retry) override;

@@ -67,6 +67,14 @@ class ContentionManager {
 
   virtual std::string name() const = 0;
 
+  /// True when resolve() compares TxDesc::first_begin_ns, so every logical
+  /// transaction needs a clock stamp. The Runtime reads the clock only for
+  /// timed transactions (Runtime::atomically); managers that never look at
+  /// the stamps return false and let most transactions run unstamped. The
+  /// default keeps every transaction stamped, so a manager (or a decorator
+  /// wrapping one) that does not say otherwise keeps its age order.
+  virtual bool orders_by_age() const { return true; }
+
   /// Decide one conflict between the calling transaction `tx` and an
   /// `enemy` that was active when the conflict was discovered.
   virtual stm::Resolution resolve(stm::ThreadCtx& self, stm::TxDesc& tx, stm::TxDesc& enemy,

@@ -12,13 +12,12 @@ std::string MetricsSummary::to_string() const {
                         throughput_per_s, aborts_per_commit, wasted_fraction * 100.0,
                         mean_response_us);
   // Shared-line contention (DESIGN.md §11): only shown when the clock /
-  // stripes / sharded EBR actually fired, so visible-read runs keep the
-  // familiar one-line summary.
-  if (n > 0 && (clock_bumps | reader_stripe_retries | ebr_shard_syncs) != 0) {
+  // sharded EBR actually fired, so visible-read runs keep the familiar
+  // one-line summary.
+  if (n > 0 && (clock_bumps | ebr_shard_syncs) != 0) {
     std::snprintf(buf + n, sizeof(buf) - static_cast<std::size_t>(n),
-                  "  clock_bumps=%llu stripe_retries=%llu ebr_syncs=%llu",
+                  "  clock_bumps=%llu ebr_syncs=%llu",
                   static_cast<unsigned long long>(clock_bumps),
-                  static_cast<unsigned long long>(reader_stripe_retries),
                   static_cast<unsigned long long>(ebr_shard_syncs));
   }
   if ((orec_lock_acquires | orec_lock_waits | orec_write_backs) != 0) {
@@ -45,8 +44,8 @@ MetricsSummary summarize(const ThreadMetrics& totals, std::int64_t elapsed_ns) {
   MetricsSummary s;
   s.commits = totals.commits;
   s.aborts = totals.aborts;
+  s.timed_commits = totals.timed_commits;
   s.clock_bumps = totals.clock_bumps;
-  s.reader_stripe_retries = totals.reader_stripe_retries;
   s.ebr_shard_syncs = totals.ebr_shard_syncs;
   s.orec_lock_acquires = totals.orec_lock_acquires;
   s.orec_lock_waits = totals.orec_lock_waits;
@@ -61,10 +60,14 @@ MetricsSummary summarize(const ThreadMetrics& totals, std::int64_t elapsed_ns) {
   }
   if (totals.commits > 0) {
     s.aborts_per_commit = static_cast<double>(totals.aborts) / static_cast<double>(totals.commits);
-    s.mean_response_us =
-        static_cast<double>(totals.response_ns) / static_cast<double>(totals.commits) / 1e3;
     s.repeat_conflicts_per_commit =
         static_cast<double>(totals.repeat_conflicts) / static_cast<double>(totals.commits);
+  }
+  // Sampled sums: response time averages over the timed commits, and the
+  // wasted share is a ratio of two sums over the same sample.
+  if (totals.timed_commits > 0) {
+    s.mean_response_us = static_cast<double>(totals.response_ns) /
+                         static_cast<double>(totals.timed_commits) / 1e3;
   }
   const std::int64_t busy = totals.wasted_ns + totals.committed_ns;
   if (busy > 0) {

@@ -69,36 +69,19 @@ struct ReaderStripes {
             bit_of(slot)) != 0;
   }
 
-  /// Sets `slot`'s bit. seq_cst on success: the visible-read flag protocol
-  /// requires the announcement to be ordered before the subsequent locator
-  /// load in the single total order (see DESIGN.md §5). Returns the number
-  /// of failed CAS iterations — the residual stripe contention metric.
-  unsigned announce(unsigned slot) noexcept {
-    std::atomic<std::uint64_t>& s = *stripe_[stripe_of(slot)];
-    const std::uint64_t bit = bit_of(slot);
-    unsigned retries = 0;
-    std::uint64_t cur = s.load(std::memory_order_relaxed);
-    while (!s.compare_exchange_weak(cur, cur | bit, std::memory_order_seq_cst,
-                                    std::memory_order_relaxed)) {
-      ++retries;
-    }
-    return retries;
+  /// Sets `slot`'s bit with one fetch_or. seq_cst: the visible-read flag
+  /// protocol requires the announcement to be ordered before the subsequent
+  /// locator load in the single total order (see DESIGN.md §5).
+  void announce(unsigned slot) noexcept {
+    stripe_[stripe_of(slot)]->fetch_or(bit_of(slot), std::memory_order_seq_cst);
   }
 
-  /// Clears `slot`'s bit (attempt cleanup). acq_rel: pairs with a resolving
-  /// writer's stripe scan so a cleared reader is never resolved against a
-  /// stale snapshot longer than necessary; no seq_cst needed because a
-  /// spurious extra resolution is benign. Returns failed CAS iterations.
-  unsigned clear(unsigned slot) noexcept {
-    std::atomic<std::uint64_t>& s = *stripe_[stripe_of(slot)];
-    const std::uint64_t mask = ~bit_of(slot);
-    unsigned retries = 0;
-    std::uint64_t cur = s.load(std::memory_order_relaxed);
-    while (!s.compare_exchange_weak(cur, cur & mask, std::memory_order_acq_rel,
-                                    std::memory_order_relaxed)) {
-      ++retries;
-    }
-    return retries;
+  /// Clears `slot`'s bit (attempt cleanup) with one fetch_and. acq_rel:
+  /// pairs with a resolving writer's stripe scan so a cleared reader is
+  /// never resolved against a stale snapshot longer than necessary; no
+  /// seq_cst needed because a spurious extra resolution is benign.
+  void clear(unsigned slot) noexcept {
+    stripe_[stripe_of(slot)]->fetch_and(~bit_of(slot), std::memory_order_acq_rel);
   }
 
   /// Snapshot of one stripe's word (writer-side resolve scan).

@@ -6,7 +6,7 @@ namespace wstm::window {
 
 WindowController::WindowController(std::size_t capacity) : pending_(capacity) {}
 
-void WindowController::register_tx(std::uint64_t frame, std::int64_t now_ns) {
+void WindowController::register_tx(std::uint64_t frame) {
   assert(frame >= current_frame() || pending(frame) >= 0);
   assert(frame < current_frame() + pending_.size());
   // Pure occupancy counters: no payload is published through them, so the
@@ -21,18 +21,18 @@ void WindowController::register_tx(std::uint64_t frame, std::int64_t now_ns) {
   while (seen < frame &&
          !max_registered_->compare_exchange_weak(seen, frame, std::memory_order_acq_rel)) {
   }
-  maybe_advance(now_ns);
+  maybe_advance();
 }
 
-void WindowController::complete_tx(std::uint64_t frame, std::int64_t now_ns) {
+void WindowController::complete_tx(std::uint64_t frame) {
   // Occupancy counters only (see register_tx); the same-thread
   // maybe_advance() below reads them sequenced-after anyway.
   slot(frame).fetch_sub(1, std::memory_order_relaxed);
   total_pending_->fetch_sub(1, std::memory_order_relaxed);
-  maybe_advance(now_ns);
+  maybe_advance();
 }
 
-std::uint64_t WindowController::maybe_advance(std::int64_t now_ns) {
+std::uint64_t WindowController::maybe_advance() {
   std::uint64_t advanced = 0;
   for (;;) {
     const std::uint64_t cur = current_->load(std::memory_order_acquire);
@@ -45,7 +45,6 @@ std::uint64_t WindowController::maybe_advance(std::int64_t now_ns) {
     if (!someone_waits) return advanced;
     std::uint64_t expected = cur;
     if (current_->compare_exchange_strong(expected, cur + 1, std::memory_order_acq_rel)) {
-      frame_start_ns_.store(now_ns, std::memory_order_release);
       advances_.fetch_add(1, std::memory_order_relaxed);
       advanced++;
     }

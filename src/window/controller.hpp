@@ -29,23 +29,18 @@ class WindowController {
     return current_->load(std::memory_order_acquire);
   }
 
-  /// When the current frame started (for diagnostics / expiry metrics).
-  std::int64_t frame_start_ns() const noexcept {
-    return frame_start_ns_.load(std::memory_order_acquire);
-  }
-
   /// Announce a logical transaction assigned to `frame`. Frames at most
   /// `capacity` ahead of the current frame are representable.
-  void register_tx(std::uint64_t frame, std::int64_t now_ns);
+  void register_tx(std::uint64_t frame);
 
   /// The transaction assigned to `frame` committed.
-  void complete_tx(std::uint64_t frame, std::int64_t now_ns);
+  void complete_tx(std::uint64_t frame);
 
   /// Contraction: advance while the current frame is drained and somebody
   /// is waiting for a later one. Safe to call from any thread at any time.
   /// Returns the number of frames this call advanced past (0 = none), so
   /// tracing callers can attribute the advance to the thread that drove it.
-  std::uint64_t maybe_advance(std::int64_t now_ns);
+  std::uint64_t maybe_advance();
 
   /// Pending registrations for `frame` (tests/diagnostics).
   std::int64_t pending(std::uint64_t frame) const noexcept;
@@ -68,8 +63,7 @@ class WindowController {
   CacheAligned<std::atomic<std::uint64_t>> current_{};
   CacheAligned<std::atomic<std::uint64_t>> max_registered_{};
   CacheAligned<std::atomic<std::int64_t>> total_pending_{};
-  // Written only on (rare) frame advances; fine to share one line.
-  std::atomic<std::int64_t> frame_start_ns_{0};
+  // Written only on (rare) frame advances.
   std::atomic<std::uint64_t> advances_{0};
 };
 

@@ -36,16 +36,14 @@ void WindowCM::start_window(stm::ThreadCtx& self, PerThread& st) {
   st.in_window = true;
   st.windows_started++;
 
-  const std::int64_t now = now_ns();
-  const std::int64_t tau = tau_ns_.load(std::memory_order_relaxed);
-  const std::int64_t phi = frame_length_ns(options_.threads, st.n, options_.frame_factor,
-                                           options_.frame_log_exponent, tau);
   const std::uint64_t alpha = delay_range_alpha(st.c_est, options_.threads, st.n);
   st.q = self.rng().below(alpha);
   if (options_.dynamic_frames) {
     st.base_frame = controller_.current_frame();
   } else {
-    st.clock.start(now, phi);
+    const std::int64_t tau = tau_ns_.load(std::memory_order_relaxed);
+    st.clock.start(now_ns(), frame_length_ns(options_.threads, st.n, options_.frame_factor,
+                                             options_.frame_log_exponent, tau));
     st.base_frame = 0;
   }
   // Tracing baseline: static clocks restart at the window start, so the
@@ -82,8 +80,8 @@ void WindowCM::maybe_trace_frame(stm::ThreadCtx& self, PerThread& st, const stm:
   }
 }
 
-void WindowCM::advance_dynamic(stm::ThreadCtx& self, const stm::TxDesc& tx, std::int64_t now) {
-  const std::uint64_t advanced = controller_.maybe_advance(now);
+void WindowCM::advance_dynamic(stm::ThreadCtx& self, const stm::TxDesc& tx) {
+  const std::uint64_t advanced = controller_.maybe_advance();
   if (recorder_ != nullptr && advanced > 0) {
     const std::uint64_t cur = controller_.current_frame();
     recorder_->record(self.slot(), trace::EventKind::kFrameAdvance, tx.serial, 1, trace::kNoEnemy,
@@ -93,14 +91,13 @@ void WindowCM::advance_dynamic(stm::ThreadCtx& self, const stm::TxDesc& tx, std:
 
 void WindowCM::on_begin(stm::ThreadCtx& self, stm::TxDesc& tx, bool is_retry) {
   PerThread& st = *state_[self.slot()];
-  const std::int64_t now = now_ns();
 
   if (!is_retry) {
     const bool fresh = !st.in_window || st.j >= st.n;
     if (fresh) start_window(self, st);
     st.assigned_frame = st.base_frame + st.q + st.j;
     if (options_.dynamic_frames) {
-      controller_.register_tx(st.assigned_frame, now);
+      controller_.register_tx(st.assigned_frame);
       st.registered = true;
     }
     if (recorder_ != nullptr && fresh) {
@@ -119,7 +116,7 @@ void WindowCM::on_begin(stm::ThreadCtx& self, stm::TxDesc& tx, bool is_retry) {
   maybe_trace_frame(self, st, tx);
   refresh_priority(self, st, tx);
 
-  if (options_.dynamic_frames) advance_dynamic(self, tx, now);
+  if (options_.dynamic_frames) advance_dynamic(self, tx);
 }
 
 stm::Resolution WindowCM::resolve(stm::ThreadCtx& self, stm::TxDesc& tx, stm::TxDesc& enemy,
@@ -127,7 +124,7 @@ stm::Resolution WindowCM::resolve(stm::ThreadCtx& self, stm::TxDesc& tx, stm::Tx
   (void)kind;
   PerThread& st = *state_[self.slot()];
   st.conflicted_this_attempt = true;
-  if (options_.dynamic_frames) advance_dynamic(self, tx, now_ns());
+  if (options_.dynamic_frames) advance_dynamic(self, tx);
   refresh_priority(self, st, tx);
 
   // Lexicographic comparison of the priority vectors (π1, π2), ties broken
@@ -179,16 +176,14 @@ stm::Resolution WindowCM::resolve(stm::ThreadCtx& self, stm::TxDesc& tx, stm::Tx
 
 void WindowCM::on_commit(stm::ThreadCtx& self, stm::TxDesc& tx) {
   PerThread& st = *state_[self.slot()];
-  const std::int64_t now = now_ns();
-  note_tau_sample(now - tx.begin_ns);
+  // τ learns from timed attempts only: the Runtime stamps a sample of the
+  // logical transactions, and the EWMA needs no more than that.
+  if (tx.stamped()) note_tau_sample(now_ns() - tx.begin_ns);
   st.ci.on_attempt_end(st.conflicted_this_attempt);
 
   const std::uint64_t commit_frame = frame_now(st);
-  // frame_schedule() beacon: last-writer-wins contention estimate. Lost
-  // updates only lag the serving layer's α by a commit or two.
-  c_beacon_.store(st.c_est, std::memory_order_relaxed);
   if (options_.dynamic_frames && st.registered) {
-    controller_.complete_tx(st.assigned_frame, now);
+    controller_.complete_tx(st.assigned_frame);
     st.registered = false;
   }
 
@@ -212,9 +207,16 @@ void WindowCM::on_commit(stm::ThreadCtx& self, stm::TxDesc& tx) {
         st.c_est = st.ci.contention_estimate(options_.threads, st.n);
         break;
     }
-    if (recorder_ != nullptr && st.c_est != old_c) {
-      recorder_->record(self.slot(), trace::EventKind::kCiUpdate, tx.serial, 1, trace::kNoEnemy,
-                        trace::pack_double(st.c_est), trace::pack_double(st.ci.value()));
+    if (st.c_est != old_c) {
+      // frame_schedule() beacon: last-writer-wins contention estimate,
+      // stored only when an estimate moves so commits do not keep writing
+      // the shared line. Lost updates only lag the serving layer's α.
+      c_beacon_.store(st.c_est, std::memory_order_relaxed);
+      if (recorder_ != nullptr) {
+        recorder_->record(self.slot(), trace::EventKind::kCiUpdate, tx.serial, 1,
+                          trace::kNoEnemy, trace::pack_double(st.c_est),
+                          trace::pack_double(st.ci.value()));
+      }
     }
     if (options_.adapt != WindowOptions::Adapt::kNone && st.j < st.n) {
       // "start over again with the remaining transactions" — the next

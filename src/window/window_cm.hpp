@@ -78,6 +78,8 @@ class WindowCM final : public cm::ContentionManager {
   WindowCM(std::string name, WindowOptions options);
 
   std::string name() const override { return name_; }
+  /// Frames and π2 draws decide conflicts; no variant compares stamps.
+  bool orders_by_age() const override { return false; }
 
   stm::Resolution resolve(stm::ThreadCtx& self, stm::TxDesc& tx, stm::TxDesc& enemy,
                           stm::ConflictKind kind) override;
@@ -96,7 +98,8 @@ class WindowCM final : public cm::ContentionManager {
   /// instead the schedule reports a synthetic frame — wall-clock elapsed
   /// since construction over the current frame length Φ — which is monotone
   /// apart from Φ re-estimates and advances at the same rate as the
-  /// per-thread clocks. α comes from a racy c_est beacon updated at commits.
+  /// per-thread clocks. α comes from a racy c_est beacon that a commit
+  /// updates when it changes its thread's estimate.
   bool frame_schedule(cm::FrameSchedule* out) const override;
 
   // --- introspection (tests, diagnostics, EXPERIMENTS.md reporting) ---
@@ -149,15 +152,16 @@ class WindowCM final : public cm::ContentionManager {
   void maybe_trace_frame(stm::ThreadCtx& self, PerThread& st, const stm::TxDesc& tx);
   /// Dynamic variants: runs the controller's contraction rule and records
   /// any advance it performed.
-  void advance_dynamic(stm::ThreadCtx& self, const stm::TxDesc& tx, std::int64_t now);
+  void advance_dynamic(stm::ThreadCtx& self, const stm::TxDesc& tx);
 
   std::string name_;
   WindowOptions options_;
   WindowController controller_;
   std::atomic<std::int64_t> tau_ns_;
   /// frame_schedule() support: construction epoch for the static-variant
-  /// synthetic frame, and a last-writer-wins c_est beacon updated at every
-  /// commit so cross-thread readers never touch PerThread state.
+  /// synthetic frame, and a last-writer-wins c_est beacon updated whenever
+  /// a thread's estimate changes, so cross-thread readers never touch
+  /// PerThread state.
   std::int64_t epoch_ns_ = 0;
   std::atomic<double> c_beacon_{0.0};
   /// Indexed by ThreadCtx::slot(), so it must cover every Runtime slot.

@@ -54,42 +54,42 @@ TEST(FrameClock, AlphaClampsToOneAndN) {
 
 TEST(Controller, AdvancesWhenFrameDrainsAndSomeoneWaits) {
   WindowController ctl;
-  ctl.register_tx(0, 0);
-  ctl.register_tx(1, 0);
+  ctl.register_tx(0);
+  ctl.register_tx(1);
   EXPECT_EQ(ctl.current_frame(), 0u);
-  ctl.complete_tx(0, 10);
+  ctl.complete_tx(0);
   // Frame 0 drained and frame 1 has a waiter: contraction advances.
   EXPECT_EQ(ctl.current_frame(), 1u);
-  ctl.complete_tx(1, 20);
+  ctl.complete_tx(1);
   // Nothing waits beyond: no pointless advance.
   EXPECT_EQ(ctl.current_frame(), 1u);
 }
 
 TEST(Controller, SkipsRunsOfEmptyFrames) {
   WindowController ctl;
-  ctl.register_tx(0, 0);
-  ctl.register_tx(7, 0);
-  ctl.complete_tx(0, 5);
+  ctl.register_tx(0);
+  ctl.register_tx(7);
+  ctl.complete_tx(0);
   EXPECT_EQ(ctl.current_frame(), 7u);  // frames 1..6 were empty
 }
 
 TEST(Controller, ExpansionHoldsFrameWhilePending) {
   WindowController ctl;
-  ctl.register_tx(0, 0);
-  ctl.register_tx(0, 0);
-  ctl.register_tx(1, 0);
-  ctl.complete_tx(0, 5);
+  ctl.register_tx(0);
+  ctl.register_tx(0);
+  ctl.register_tx(1);
+  ctl.complete_tx(0);
   EXPECT_EQ(ctl.current_frame(), 0u);  // one tx still pending in frame 0
-  ctl.complete_tx(0, 6);
+  ctl.complete_tx(0);
   EXPECT_EQ(ctl.current_frame(), 1u);
 }
 
 TEST(Controller, PendingCountsPerFrame) {
   WindowController ctl;
-  ctl.register_tx(3, 0);
-  ctl.register_tx(3, 0);
+  ctl.register_tx(3);
+  ctl.register_tx(3);
   EXPECT_EQ(ctl.pending(3), 2);
-  ctl.complete_tx(3, 1);
+  ctl.complete_tx(3);
   EXPECT_EQ(ctl.pending(3), 1);
 }
 
@@ -185,7 +185,9 @@ TEST_F(WindowCmTest, TauEstimateTracksCommittedDurations) {
   stm::ThreadCtx& tc = rt.attach_thread();
   const auto initial = wcm->tau_estimate_ns();
   stm::TObject<int> obj(0);
-  for (int i = 0; i < 200; ++i) {
+  // τ learns from timed transactions only, one in kTimedSampleEvery here
+  // (window managers do not order by age): 200 samples.
+  for (std::uint32_t i = 0; i < 200 * stm::Runtime::kTimedSampleEvery; ++i) {
     rt.atomically(tc, [&](stm::Tx& tx) { *obj.open_write(tx) += 1; });
   }
   // Trivial transactions are far faster than the initial 20us guess: the
