@@ -97,6 +97,26 @@ TEST_F(EbrTest, PendingCountsUnfreedRetirements) {
   EXPECT_EQ(g_freed.load(), 2);
 }
 
+TEST_F(EbrTest, ReclaimWaitsForTheStalledPin) {
+  Domain domain;
+  Handle stalled = domain.attach();
+  Handle h = domain.attach();
+  stalled.pin();
+  h.pin();
+  h.retire(new Tracked());
+  h.retire(new Tracked());
+  h.unpin();
+  // One advance can pass the stalled pin's epoch, the second cannot.
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(h.reclaim(), 2u);
+  EXPECT_EQ(g_freed.load(), 0);
+  stalled.unpin();
+  std::size_t left = 2;
+  for (int i = 0; i < 4 && left != 0; ++i) left = h.reclaim();
+  EXPECT_EQ(left, 0u);
+  EXPECT_EQ(h.pending(), 0u);
+  EXPECT_EQ(g_freed.load(), 2);
+}
+
 TEST_F(EbrTest, SlotsAreReusedAfterDetach) {
   Domain domain;
   std::vector<Handle> handles;
