@@ -15,6 +15,7 @@
 
 #include "cm/registry.hpp"
 #include "stm/runtime.hpp"
+#include "structs/hashtable.hpp"
 #include "structs/intset.hpp"
 #include "util/affinity.hpp"
 #include "util/rng.hpp"
@@ -272,6 +273,47 @@ void BM_AllocPressureWriteTx(benchmark::State& state) {
       benchmark::Counter(attempts, benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_AllocPressureWriteTx);
+
+// Hash-table updates on buckets that stay in place: insert and remove one
+// key in turn. A bucket keeps its keys inside its version block, so the
+// clone each update makes is one pool block and the steady state must make
+// no global-allocator call (a bucket that kept its keys in a separate heap
+// buffer would copy that buffer on every clone: >= 1 per attempt).
+void BM_HashTableUpdate(benchmark::State& state, stm::BackendKind backend) {
+  stm::RuntimeConfig cfg;
+  cfg.seed = g_seed;
+  cfg.backend = backend;
+  cm::Params params;
+  params.threads = 1;
+  stm::Runtime rt(cm::make_manager("Polka", params), cfg);
+  stm::ThreadCtx& tc = rt.attach_thread();
+  // 128 keys in 256 buckets, plus at most one toggled key in flight: every
+  // bucket stays far below HashTable::kInlineKeys.
+  structs::HashTable table(256);
+  for (long k = 0; k < 128; ++k) {
+    rt.atomically(tc, [&](stm::Tx& tx) { return table.insert(tx, k); });
+  }
+  std::uint64_t step = 0;
+  auto update = [&] {
+    const long key = 1000 + static_cast<long>((step / 2) % 64);
+    const bool insert = step++ % 2 == 0;
+    rt.atomically(tc, [&](stm::Tx& tx) {
+      return insert ? table.insert(tx, key) : table.remove(tx, key);
+    });
+  };
+  // Warm up past slab carving and EBR epoch lag, as above.
+  for (int i = 0; i < 512; ++i) update();
+  rt.reset_metrics();
+  const std::uint64_t allocs_before = t_alloc_count;
+  for (auto _ : state) update();
+  const auto allocs = static_cast<double>(t_alloc_count - allocs_before);
+  const stm::ThreadMetrics totals = rt.total_metrics();
+  const auto attempts = static_cast<double>(totals.commits + totals.aborts);
+  state.counters["allocs_per_attempt"] = attempts > 0 ? allocs / attempts : 0.0;
+  state.counters["attempts"] = benchmark::Counter(attempts, benchmark::Counter::kIsRate);
+}
+BENCHMARK_CAPTURE(BM_HashTableUpdate, dstm, stm::BackendKind::kDstm);
+BENCHMARK_CAPTURE(BM_HashTableUpdate, orec, stm::BackendKind::kOrec);
 
 // ------------------------------------------------- read-set scaling -----
 // Orec read-set validation cost as the read-set size R grows. Each

@@ -1,5 +1,6 @@
 #include "check/checker.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -248,6 +249,20 @@ RunResult Checker::run_with_policy(Policy& policy, const CheckConfig& cfg) {
         if (!rr.diagnosis.empty()) rr.diagnosis += "\n";
         rr.diagnosis += "window invariants: " + cr.to_string();
       }
+    }
+  }
+
+  // The seeded blind commit can lose the write that links a fresh node, and
+  // then nothing reaches or frees it. The run owns every node its
+  // transactions made: free the ones the set no longer reaches (the set
+  // frees the rest). Sound only when nothing was retired, which the
+  // insert-heavy mix guarantees; the bug is memory-unsafe under the others.
+  const std::vector<VirtualExecutor::MadeObject> made = exec.take_blind_commit_allocs();
+  if (cfg.op_mix == "insert-heavy" && !made.empty()) {
+    std::vector<const void*> linked = set->quiescent_nodes();
+    std::sort(linked.begin(), linked.end());
+    for (const VirtualExecutor::MadeObject& m : made) {
+      if (!std::binary_search(linked.begin(), linked.end(), m.object)) m.destroy(m.object);
     }
   }
 

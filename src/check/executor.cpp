@@ -1,5 +1,7 @@
 #include "check/executor.hpp"
 
+#include <utility>
+
 #include "util/timing.hpp"
 
 namespace wstm::check {
@@ -91,6 +93,16 @@ void VirtualExecutor::on_opacity_violation(const char* what) noexcept {
   opacity_violations_.fetch_add(1, std::memory_order_acq_rel);
   const char* expected = nullptr;
   first_opacity_what_.compare_exchange_strong(expected, what, std::memory_order_acq_rel);
+}
+
+void VirtualExecutor::on_blind_commit_alloc(void* object, void (*destroy)(void*)) noexcept {
+  std::lock_guard<std::mutex> lock(made_mu_);
+  made_.push_back({object, destroy});
+}
+
+std::vector<VirtualExecutor::MadeObject> VirtualExecutor::take_blind_commit_allocs() {
+  std::lock_guard<std::mutex> lock(made_mu_);
+  return std::exchange(made_, {});
 }
 
 void VirtualExecutor::grant_next_locked() {

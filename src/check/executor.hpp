@@ -85,6 +85,15 @@ class VirtualExecutor final : public SchedulerHook {
     return park_deadlocks_.load(std::memory_order_acquire);
   }
 
+  /// Runtime-side: keeps an object a blind commit made (see hooks.hpp).
+  void on_blind_commit_alloc(void* object, void (*destroy)(void*)) noexcept override;
+  struct MadeObject {
+    void* object;
+    void (*destroy)(void*);
+  };
+  /// The objects kept since the last call; the caller now owns them.
+  std::vector<MadeObject> take_blind_commit_allocs();
+
  private:
   enum class State : std::uint8_t { kUnregistered, kWaiting, kRunning, kDone };
 
@@ -119,6 +128,9 @@ class VirtualExecutor final : public SchedulerHook {
   std::atomic<std::uint64_t> opacity_violations_{0};
   std::atomic<const char*> first_opacity_what_{nullptr};
   std::atomic<std::uint64_t> park_deadlocks_{0};
+  // Blind commits also arrive from pass-through and free-running threads.
+  std::mutex made_mu_;
+  std::vector<MadeObject> made_;
 };
 
 }  // namespace wstm::check

@@ -85,6 +85,15 @@ class SchedulerHook {
   /// Default no-op keeps existing hooks source-compatible. `what` is a
   /// static diagnostic string.
   virtual void on_opacity_violation(const char* what) noexcept { (void)what; }
+  /// Seeded blind-commit bug only: a committed attempt made `object`
+  /// (Tx::make), and `destroy` frees it. A blind commit that overrode a
+  /// kill can lose the write that links such an object, and then nothing
+  /// reaches or frees it. The hook owner frees, at quiescence, the ones its
+  /// structure no longer reaches. Default: keep nothing (they may leak).
+  virtual void on_blind_commit_alloc(void* object, void (*destroy)(void*)) noexcept {
+    (void)object;
+    (void)destroy;
+  }
 };
 
 }  // namespace wstm::check

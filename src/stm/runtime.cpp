@@ -392,6 +392,7 @@ bool Runtime::dstm_commit(ThreadCtx& tc) {
     // between the last open and here — the enemy already proceeded on our
     // old version, so "committing" anyway loses the update.
     desc->status.store(TxStatus::kCommitted, std::memory_order_seq_cst);
+    hand_blind_commit_allocs(tc);
     // SEEDED BUG (park-lost-wakeup): drop the commit-path unpark edge.
     if (!config_.bugs.park_lost_wakeup) signal_status_change(&tc, desc);
     return true;
@@ -410,6 +411,14 @@ bool Runtime::dstm_commit(ThreadCtx& tc) {
   }
   // false: killed by an enemy between the last open and the commit point.
   return committed;
+}
+
+void Runtime::hand_blind_commit_allocs(ThreadCtx& tc) {
+  // A lost update can orphan what this attempt made: the checker takes it,
+  // to free what its structure no longer reaches.
+  if (check::SchedulerHook* hook = config_.checker) {
+    for (const auto& a : tc.allocs_) hook->on_blind_commit_alloc(a.ptr, a.deleter);
+  }
 }
 
 void Runtime::finish_attempt_abort(ThreadCtx& tc) {

@@ -409,6 +409,10 @@ class Runtime {
   const void* dstm_open_read(ThreadCtx& tc, TObjectBase& obj);
   void* dstm_open_write(ThreadCtx& tc, TObjectBase& obj);
   bool dstm_commit(ThreadCtx& tc);
+  /// Seeded blind-commit bug: hands what the attempt made to the checker.
+  /// Out of line and cold, so the seeded bug adds nothing to dstm_commit's
+  /// hot path.
+  [[gnu::cold, gnu::noinline]] void hand_blind_commit_allocs(ThreadCtx& tc);
 
   TxDesc* begin_attempt(ThreadCtx& tc, std::int64_t first_begin, bool is_retry);
   bool finish_attempt_commit(ThreadCtx& tc);  // false = lost the commit race

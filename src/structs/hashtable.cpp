@@ -5,6 +5,59 @@
 
 namespace wstm::structs {
 
+HashTable::BucketData::BucketData(const BucketData& other)
+    : size_(other.size_), cap_(other.cap_) {
+  if (!other.spilled()) {
+    // The whole fixed-size array: one straight-line copy, no length branch.
+    std::copy_n(other.inline_, kInlineKeys, inline_);
+    return;
+  }
+  heap_ = new long[cap_];
+  std::copy_n(other.heap_, size_, heap_);
+}
+
+bool HashTable::BucketData::contains(long key) const noexcept {
+  return std::binary_search(begin(), end(), key);
+}
+
+bool HashTable::BucketData::insert(long key) {
+  long* k = keys();
+  long* const pos = std::lower_bound(k, k + size_, key);
+  if (pos != k + size_ && *pos == key) return false;
+  if (size_ < cap_) {
+    std::copy_backward(pos, k + size_, k + size_ + 1);
+    *pos = key;
+  } else {
+    // Full: move every key into a heap array twice the size.
+    const std::uint32_t cap = cap_ * 2;
+    long* const heap = new long[cap];
+    long* const at = std::copy(k, pos, heap);
+    *at = key;
+    std::copy(pos, k + size_, at + 1);
+    if (spilled()) delete[] heap_;
+    heap_ = heap;
+    cap_ = cap;
+  }
+  ++size_;
+  return true;
+}
+
+bool HashTable::BucketData::erase(long key) {
+  long* k = keys();
+  long* const pos = std::lower_bound(k, k + size_, key);
+  if (pos == k + size_ || *pos != key) return false;
+  std::copy(pos + 1, k + size_, pos);
+  --size_;
+  if (spilled() && size_ <= kInlineKeys) {
+    // Small again: back into the block, so its clones stop allocating.
+    long* const heap = heap_;
+    std::copy_n(heap, size_, inline_);
+    delete[] heap;
+    cap_ = kInlineKeys;
+  }
+  return true;
+}
+
 HashTable::HashTable(std::size_t buckets)
     : bucket_count_(std::bit_ceil(std::max<std::size_t>(buckets, 1))),
       slots_(std::make_unique_for_overwrite<Slot[]>(bucket_count_)) {}
@@ -24,35 +77,25 @@ HashTable::Bucket& HashTable::bucket_for(long key) noexcept {
 
 bool HashTable::insert(stm::Tx& tx, long key) {
   Bucket& b = bucket_for(key);
-  const BucketData* data = b.open_read(tx);
-  const auto it = std::lower_bound(data->keys.begin(), data->keys.end(), key);
-  if (it != data->keys.end() && *it == key) return false;
-  BucketData* mut = b.open_write(tx);
-  mut->keys.insert(std::lower_bound(mut->keys.begin(), mut->keys.end(), key), key);
-  return true;
+  if (b.open_read(tx)->contains(key)) return false;
+  return b.open_write(tx)->insert(key);
 }
 
 bool HashTable::remove(stm::Tx& tx, long key) {
   Bucket& b = bucket_for(key);
-  const BucketData* data = b.open_read(tx);
-  const auto it = std::lower_bound(data->keys.begin(), data->keys.end(), key);
-  if (it == data->keys.end() || *it != key) return false;
-  BucketData* mut = b.open_write(tx);
-  const auto mit = std::lower_bound(mut->keys.begin(), mut->keys.end(), key);
-  mut->keys.erase(mit);
-  return true;
+  if (!b.open_read(tx)->contains(key)) return false;
+  return b.open_write(tx)->erase(key);
 }
 
 bool HashTable::contains(stm::Tx& tx, long key) {
-  const BucketData* data = bucket_for(key).open_read(tx);
-  return std::binary_search(data->keys.begin(), data->keys.end(), key);
+  return bucket_for(key).open_read(tx)->contains(key);
 }
 
 std::vector<long> HashTable::quiescent_elements() const {
   std::vector<long> out;
   for (std::size_t i = 0; i < bucket_count_; ++i) {
     const BucketData* data = slots_[i].bucket.peek();
-    out.insert(out.end(), data->keys.begin(), data->keys.end());
+    out.insert(out.end(), data->begin(), data->end());
   }
   std::sort(out.begin(), out.end());
   return out;

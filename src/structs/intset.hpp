@@ -28,6 +28,11 @@ class TxIntSet {
   /// quiescence (tests and benchmark validation).
   virtual std::vector<long> quiescent_elements() const = 0;
 
+  /// Addresses of the nodes the structure links (the objects its inserts
+  /// made with Tx::make), unsynchronized — quiescence only. The checker
+  /// frees the nodes a seeded lost update orphaned: those not listed here.
+  virtual std::vector<const void*> quiescent_nodes() const = 0;
+
   virtual std::string kind() const = 0;
 };
 

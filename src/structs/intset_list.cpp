@@ -66,4 +66,10 @@ std::vector<long> IntSetList::quiescent_elements() const {
   return out;
 }
 
+std::vector<const void*> IntSetList::quiescent_nodes() const {
+  std::vector<const void*> out;
+  for (const Node* n = head_.peek()->next; n != nullptr; n = n->peek()->next) out.push_back(n);
+  return out;
+}
+
 }  // namespace wstm::structs

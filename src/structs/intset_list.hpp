@@ -19,6 +19,7 @@ class IntSetList final : public TxIntSet {
   bool remove(stm::Tx& tx, long key) override;
   bool contains(stm::Tx& tx, long key) override;
   std::vector<long> quiescent_elements() const override;
+  std::vector<const void*> quiescent_nodes() const override;
   std::string kind() const override { return "list"; }
 
  private:

@@ -47,6 +47,8 @@ class RBMapT {
 
   /// In-order entries, unsynchronized — quiescence only.
   std::vector<std::pair<long, V>> quiescent_entries() const;
+  /// Addresses of the tree's nodes, unsynchronized — quiescence only.
+  std::vector<const void*> quiescent_nodes() const;
 
   /// Checks BST order, red-red freedom, black-height balance and parent
   /// links at quiescence. On failure stores a diagnostic in `why`.
@@ -112,6 +114,7 @@ class RBTreeSet final : public TxIntSet {
   bool remove(stm::Tx& tx, long key) override { return map_.erase(tx, key); }
   bool contains(stm::Tx& tx, long key) override { return map_.contains(tx, key); }
   std::vector<long> quiescent_elements() const override;
+  std::vector<const void*> quiescent_nodes() const override { return map_.quiescent_nodes(); }
   std::string kind() const override { return "rbtree"; }
 
   RBMap& map() noexcept { return map_; }
@@ -426,6 +429,20 @@ std::vector<std::pair<long, V>> RBMapT<V>::quiescent_entries() const {
     const NodeData* d = n->peek();
     walk(d->left);
     out.emplace_back(d->key, d->value);
+    walk(d->right);
+  };
+  walk(root_.peek()->root);
+  return out;
+}
+
+template <typename V>
+std::vector<const void*> RBMapT<V>::quiescent_nodes() const {
+  std::vector<const void*> out;
+  std::function<void(const Node*)> walk = [&](const Node* n) {
+    if (n == nullptr) return;
+    const NodeData* d = n->peek();
+    walk(d->left);
+    out.push_back(n);
     walk(d->right);
   };
   walk(root_.peek()->root);

@@ -98,4 +98,12 @@ std::vector<long> SkipList::quiescent_elements() const {
   return out;
 }
 
+std::vector<const void*> SkipList::quiescent_nodes() const {
+  std::vector<const void*> out;
+  for (const Node* n = head_.peek()->next[0]; n != nullptr; n = n->peek()->next[0]) {
+    out.push_back(n);
+  }
+  return out;
+}
+
 }  // namespace wstm::structs

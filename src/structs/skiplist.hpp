@@ -22,6 +22,7 @@ class SkipList final : public TxIntSet {
   bool remove(stm::Tx& tx, long key) override;
   bool contains(stm::Tx& tx, long key) override;
   std::vector<long> quiescent_elements() const override;
+  std::vector<const void*> quiescent_nodes() const override;
   std::string kind() const override { return "skiplist"; }
 
  private:

@@ -5,11 +5,14 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include "cm/registry.hpp"
 #include "stm/runtime.hpp"
+#include "structs/hashtable.hpp"
 #include "structs/intset.hpp"
 #include "structs/rbtree.hpp"
 #include "structs/sequential_set.hpp"
@@ -19,11 +22,16 @@
 namespace wstm::structs {
 namespace {
 
-std::unique_ptr<stm::Runtime> make_runtime(const std::string& cm = "Polka", unsigned threads = 4) {
+std::unique_ptr<stm::Runtime> make_runtime(const std::string& cm = "Polka", unsigned threads = 4,
+                                           stm::BackendKind backend = stm::BackendKind::kDstm,
+                                           std::uint32_t yield_permille = 0) {
   cm::Params params;
   params.threads = threads;
   params.window_n = 16;
-  return std::make_unique<stm::Runtime>(cm::make_manager(cm, params));
+  stm::RuntimeConfig cfg;
+  cfg.backend = backend;
+  cfg.preempt_yield_permille = yield_permille;
+  return std::make_unique<stm::Runtime>(cm::make_manager(cm, params), cfg);
 }
 
 class EveryKind : public ::testing::TestWithParam<std::string> {};
@@ -192,6 +200,155 @@ TEST_P(KindByCm, ConcurrentMixedStressKeepsStructureConsistent) {
   EXPECT_TRUE(std::is_sorted(elements.begin(), elements.end()));
   EXPECT_EQ(std::adjacent_find(elements.begin(), elements.end()), elements.end());
   EXPECT_EQ(static_cast<long>(elements.size()), net.load());
+}
+
+// A hash-table bucket keeps up to HashTable::kInlineKeys keys in its version
+// block and moves them to one heap array past that. These tests walk that
+// boundary on both engines: the DSTM locator and the orec redo log clone
+// buckets through different paths.
+class HashTableSpill : public ::testing::TestWithParam<stm::BackendKind> {};
+INSTANTIATE_TEST_SUITE_P(Backends, HashTableSpill,
+                         ::testing::Values(stm::BackendKind::kDstm, stm::BackendKind::kOrec),
+                         [](const auto& info) {
+                           return info.param == stm::BackendKind::kDstm ? "dstm" : "orec";
+                         });
+
+TEST_P(HashTableSpill, OneBucketCrossesTheInlineBoundaryBothWays) {
+  auto rt = make_runtime("Polka", 4, GetParam());
+  stm::ThreadCtx& tc = rt->attach_thread();
+  HashTable set(1);
+  ASSERT_EQ(set.bucket_count(), 1u);
+  auto ins = [&](long k) { return rt->atomically(tc, [&](stm::Tx& tx) { return set.insert(tx, k); }); };
+  auto rem = [&](long k) { return rt->atomically(tc, [&](stm::Tx& tx) { return set.remove(tx, k); }); };
+  auto has = [&](long k) { return rt->atomically(tc, [&](stm::Tx& tx) { return set.contains(tx, k); }); };
+
+  constexpr long kKeys = 2 * static_cast<long>(HashTable::kInlineKeys) + 2;  // 0 … 2·kInline+1
+  std::vector<long> order(kKeys);
+  std::iota(order.begin(), order.end(), 0L);
+  Xoshiro256 rng(0x5b111);
+  std::set<long> oracle;
+  auto matches_oracle = [&] {
+    for (long k = 0; k < kKeys; ++k) {
+      if (has(k) != (oracle.count(k) == 1)) return false;
+    }
+    return set.quiescent_elements() == std::vector<long>(oracle.begin(), oracle.end());
+  };
+
+  std::shuffle(order.begin(), order.end(), rng);
+  for (const long k : order) {
+    EXPECT_TRUE(ins(k)) << k;
+    oracle.insert(k);
+    ASSERT_TRUE(matches_oracle()) << "after inserting " << k;
+    EXPECT_FALSE(ins(k)) << k;  // duplicate
+  }
+  std::shuffle(order.begin(), order.end(), rng);
+  for (const long k : order) {
+    EXPECT_TRUE(rem(k)) << k;
+    oracle.erase(k);
+    ASSERT_TRUE(matches_oracle()) << "after removing " << k;
+    EXPECT_FALSE(rem(k)) << k;  // absent
+  }
+  EXPECT_TRUE(set.quiescent_elements().empty());
+}
+
+TEST_P(HashTableSpill, RestartAfterWritingASpilledBucketKeepsCommittedKeys) {
+  auto rt = make_runtime("Polka", 4, GetParam());
+  stm::ThreadCtx& tc = rt->attach_thread();
+  HashTable set(1);
+  constexpr long kKeys = 2 * static_cast<long>(HashTable::kInlineKeys);
+  for (long k = 0; k < kKeys; ++k) {
+    rt->atomically(tc, [&](stm::Tx& tx) { set.insert(tx, k); });
+  }
+  const std::vector<long> committed = set.quiescent_elements();
+  ASSERT_EQ(committed.size(), static_cast<std::size_t>(kKeys));
+
+  int attempts = 0;
+  rt->atomically(tc, [&](stm::Tx& tx) {
+    if (++attempts > 1) return;
+    // The private clone outgrows the committed heap array, then shrinks back
+    // into its block; the restart must discard it and free what it took.
+    EXPECT_TRUE(set.insert(tx, kKeys));
+    for (long k = 0; k <= static_cast<long>(HashTable::kInlineKeys); ++k) {
+      EXPECT_TRUE(set.remove(tx, k));
+    }
+    EXPECT_FALSE(set.contains(tx, 0));
+    tx.restart();
+  });
+  EXPECT_EQ(attempts, 2);
+  EXPECT_EQ(set.quiescent_elements(), committed);
+}
+
+// Three workers on a two-bucket table over 64 keys: the buckets stay spilled,
+// so most clones copy a heap array. Every transaction also bumps a shared
+// ticket, which orders the committed operations; replaying them in ticket
+// order on a SequentialSet must give the same results and the same contents.
+// Yields at 20 % of opens make the workers interleave even where the OS
+// would run each one's short transactions back to back.
+TEST_P(HashTableSpill, ConcurrentRunMatchesSequentialSet) {
+  constexpr unsigned kThreads = 3;
+  constexpr int kOpsPerThread = 2000;
+  constexpr long kKeyRange = 64;
+  auto rt = make_runtime("Polka", kThreads, GetParam(), 200);
+  HashTable set(2);
+  SequentialSet oracle;
+  stm::TObject<long> ticket(0);
+  {
+    stm::ThreadCtx& tc = rt->attach_thread();
+    for (long k = 0; k < kKeyRange; k += 2) {
+      rt->atomically(tc, [&](stm::Tx& tx) { set.insert(tx, k); });
+      oracle.insert(k);
+    }
+    rt->detach_thread(tc);
+  }
+
+  struct Step {
+    long ticket;
+    int op;  // 0 insert, 1 remove, 2 contains
+    long key;
+    bool result;
+  };
+  std::vector<std::vector<Step>> logs(kThreads);
+  std::atomic<unsigned> ready{0};
+  std::vector<std::thread> workers;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      stm::ThreadCtx& tc = rt->attach_thread();
+      Xoshiro256 rng(0xd1ffULL + t);
+      // Start together, or the first worker can finish before the last begins.
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const long key = static_cast<long>(rng.below(kKeyRange));
+        const int op = static_cast<int>(rng.below(3));
+        logs[t].push_back(rt->atomically(tc, [&](stm::Tx& tx) {
+          bool result = false;
+          if (op == 0) result = set.insert(tx, key);
+          if (op == 1) result = set.remove(tx, key);
+          if (op == 2) result = set.contains(tx, key);
+          long* next = ticket.open_write(tx);
+          return Step{(*next)++, op, key, result};
+        }));
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+
+  std::vector<Step> history;
+  for (const auto& log : logs) history.insert(history.end(), log.begin(), log.end());
+  std::sort(history.begin(), history.end(),
+            [](const Step& a, const Step& b) { return a.ticket < b.ticket; });
+  ASSERT_EQ(history.size(), static_cast<std::size_t>(kThreads) * kOpsPerThread);
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    const Step& s = history[i];
+    ASSERT_EQ(s.ticket, static_cast<long>(i));
+    const bool expected = s.op == 0   ? oracle.insert(s.key)
+                          : s.op == 1 ? oracle.remove(s.key)
+                                      : oracle.contains(s.key);
+    ASSERT_EQ(s.result, expected) << "ticket " << s.ticket << " op " << s.op << " key " << s.key;
+  }
+  EXPECT_EQ(set.quiescent_elements(), oracle.elements());
+  // The yields at opens made the workers overlap: some attempts conflicted.
+  EXPECT_GT(rt->total_metrics().aborts, 0u);
 }
 
 TEST(RBTreeInvariants, HoldAfterRandomChurn) {

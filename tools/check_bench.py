@@ -8,6 +8,9 @@ Modes:
   global-allocator calls per transaction attempt via the interposed
   operator new; anything above the threshold (or a missing row) means a
   TxDesc/Locator/clone/EBR-chunk slipped back onto the global allocator.
+  `BM_HashTableUpdate/{dstm,orec}` (insert/remove on hash-table buckets
+  that hold their keys in place) are gated the same way: a bucket clone
+  that copies a separate key buffer makes at least one call per attempt.
 
 * --mode readval (BENCH_readval.json): the orec engine must keep read-set
   validation at one pass per transaction. The `BM_ReadSetScaling/<R>` rows
@@ -591,13 +594,22 @@ def main() -> int:
         return 1
 
     if args.mode == "alloc":
-        return gate(
+        failed = gate(
             report,
             "BM_AllocPressureWriteTx",
             "allocs_per_attempt",
             args.max_allocs_per_attempt,
             ("BM_IntsetWriteHeavy",),
         )
+        for backend in ("dstm", "orec"):
+            failed |= gate(
+                report,
+                f"BM_HashTableUpdate/{backend}",
+                "allocs_per_attempt",
+                args.max_allocs_per_attempt,
+                (),
+            )
+        return failed
     if args.mode == "clock":
         failed = 0
         for backend in ("dstm", "orec"):
